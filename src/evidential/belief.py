@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -40,6 +41,8 @@ __all__ = [
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise ModelError(f"weights must be exact rationals, got float {value!r}")
     return Fraction(value)
@@ -59,11 +62,14 @@ class ProbabilityMeasure:
                 f"measure must weight all {len(self.space)} states, got {len(self.weights)}"
             )
         for name, w in zip(self.space.states, self.weights):
-            if w < 0:
+            if w.numerator < 0:
                 raise ModelError(f"negative weight {w} for state {name!r}")
-        total = sum(self.weights)
-        if total != 1:
-            raise ModelError(f"weights must sum to 1, got {total}")
+        # One integer sum over the common denominator instead of n Fraction
+        # additions, each with its own gcd.
+        denominator = lcm(*(w.denominator for w in self.weights))
+        total = sum(w.numerator * (denominator // w.denominator) for w in self.weights)
+        if total != denominator:
+            raise ModelError(f"weights must sum to 1, got {Fraction(total, denominator)}")
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
@@ -73,7 +79,7 @@ class ProbabilityMeasure:
         missing = [name for name in space.states if name not in weights]
         if missing:
             raise ModelError(f"measure missing weight for state {missing[0]!r}")
-        return cls(space, tuple(_as_fraction(weights[name]) for name in space.states))
+        return cls(space, tuple(weights[name] for name in space.states))
 
     def of(self, event: StateSet) -> Fraction:
         """The probability of an event: the sum of its states' weights."""

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 undefined operation
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -281,7 +282,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # Flush here, so that a reader that closed the pipe early is seen
+        # inside this handler rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader took what it wanted, which is not an error.  Python
+        # flushes stdout again at exit; aim it at devnull to keep that quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ModelError
+from .errors import ModelError, UnknownStateError
 from .model import Model, StateSpace, VariableValuation
 from .belief import ProbabilityMeasure
 
 __all__ = ["ModelDocument", "parse_document", "load_document"]
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,13 @@ class ModelDocument:
 
 
 def _parse_rational(text: object, context: str) -> Fraction:
-    if not isinstance(text, str) or _RATIONAL.match(text) is None:
+    match = _RATIONAL.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ModelError(f"{context}: expected a rational string like '3/10' or '1', got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ModelError(f"{context}: zero denominator in {text!r}") from None
+    numerator, denominator = map(int, match.groups("1"))
+    if denominator == 0:
+        raise ModelError(f"{context}: zero denominator in {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> VariableValuation:
@@ -78,10 +79,10 @@ def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> Variable
 def _parse_members(space: StateSpace, atom: str, raw: object):
     if not isinstance(raw, list):
         raise ModelError(f"atom {atom!r}: interpretation values must be lists of states")
-    for name in raw:
-        if name not in space:
-            raise ModelError(f"atom {atom!r}: undeclared state {name!r}")
-    return space.subset(raw)
+    try:
+        return space.subset(raw)
+    except UnknownStateError as exc:
+        raise ModelError(f"atom {atom!r}: undeclared state {exc.name!r}") from None
 
 
 def parse_document(data: dict) -> ModelDocument:

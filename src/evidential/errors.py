@@ -9,6 +9,14 @@ class ModelError(EvidentialError):
     """Invalid state space, valuation, model, measure, mass function, or document."""
 
 
+class UnknownStateError(ModelError):
+    """A state name, or a value standing for one, is not declared in the space."""
+
+    def __init__(self, name: object):
+        super().__init__(f"unknown state: {name!r}")
+        self.name = name
+
+
 class UnknownAtomError(EvidentialError):
     """A formula or query referenced an atom the model does not define."""
 

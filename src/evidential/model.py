@@ -10,10 +10,11 @@ interpretation entails the truth of the proposition it interprets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ModelError, UnknownAtomError
+from .errors import ModelError, UnknownAtomError, UnknownStateError
 
 __all__ = [
     "StateSpace",
@@ -45,7 +46,8 @@ class StateSpace:
             if name in seen:
                 raise ModelError(f"duplicate state name: {name!r}")
             seen.add(name)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        # Each state's bit, so that decoding a member list costs one lookup a name.
+        object.__setattr__(self, "_bit", {s: 1 << i for i, s in enumerate(self.states)})
 
     def __len__(self) -> int:
         return len(self.states)
@@ -54,19 +56,27 @@ class StateSpace:
         return iter(self.states)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index
+        return name in self._bit
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self._bit[name].bit_length() - 1
         except KeyError:
-            raise ModelError(f"unknown state: {name!r}") from None
+            raise UnknownStateError(name) from None
 
-    def subset(self, names: Iterable[str]) -> StateSet:
-        """The event containing exactly the given states."""
+    def subset(self, names: Iterable[object]) -> StateSet:
+        """The event containing exactly the given states.
+
+        Raises :class:`UnknownStateError` naming the first value that is not
+        a declared state, hashable or not.
+        """
+        bit = self._bit
         mask = 0
         for name in names:
-            mask |= 1 << self.index(name)
+            try:
+                mask |= bit[name]
+            except (KeyError, TypeError):
+                raise UnknownStateError(name) from None
         return StateSet(self, mask)
 
     def singleton(self, name: str) -> StateSet:
@@ -82,6 +92,9 @@ class StateSpace:
         """All 2^n subsets, in ascending bit-vector order."""
         for mask in range(1 << len(self.states)):
             yield StateSet(self, mask)
+
+
+_DIGIT_TO_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -109,9 +122,10 @@ class StateSet:
         return bool(self.mask >> self.space.index(name) & 1)
 
     def __iter__(self) -> Iterator[str]:
-        for i, name in enumerate(self.space.states):
-            if self.mask >> i & 1:
-                yield name
+        # One C-level pass over the mask's binary digits, lowest bit first;
+        # shifting the mask once per state would cost O(n) per step.
+        digits = bin(self.mask)[:1:-1].encode("ascii")
+        return compress(self.space.states, digits.translate(_DIGIT_TO_SELECTOR))
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")

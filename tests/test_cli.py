@@ -1,6 +1,10 @@
 """CLI behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,30 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "check", path)
         assert code == 2
         assert "H-zz" in err
+
+    def test_unhashable_member_names_itself(self, capsys, tmp_path):
+        data = json.loads(open_fixture())
+        data["atoms"]["h"] = {"*": [["H-acc"]]}
+        path = write_model(tmp_path, data)
+        code, out, err = invoke(capsys, "check", path)
+        assert (code, out, err) == (2, "", "error: atom 'h': undeclared state ['H-acc']\n")
+
+    def test_closed_stdout_is_quiet_success(self, tmp_path):
+        # Output far beyond a pipe buffer, so the reader closes mid-write.
+        states = [f"s{i}" for i in range(300)]
+        path = write_model(tmp_path, {"states": states, "atoms": {"a": {"*": states}}})
+        src = Path(__file__).resolve().parent.parent / "src"
+        pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "evidential", "cohere", path, "a", "--format", "machine"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"closure[s0]={s0,s1,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     def test_syntax_error(self, capsys):
         code, _, err = invoke(capsys, "truth-set", "coinflip", "pbar &&& h")

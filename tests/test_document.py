@@ -1,11 +1,18 @@
 """Model document parsing and validation."""
 
 import json
+import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from evidential import ModelError, load_document, parse_document
 from evidential.fixtures import coinflip
+
+
+def exactly(message):
+    return "^" + re.escape(message) + "$"
 
 
 def minimal_document():
@@ -43,6 +50,32 @@ class TestParseDocument:
         data = minimal_document()
         del data["measures"]
         assert parse_document(data).measures == {}
+
+    def test_large_per_state_document_matches_its_json(self):
+        rng = random.Random(20250319)
+        states = [f"s{i}" for i in range(300)]
+        atoms = {}
+        for atom in ("p", "q", "r"):
+            interp = {}
+            for state in states:
+                members = rng.sample(states, rng.randrange(0, 60))
+                interp[state] = members + members[: rng.randrange(0, 5)]
+            atoms[atom] = interp
+        weights = [rng.randint(0, 9) for _ in states]
+        weights[0] += 1
+        prior = [Fraction(w, sum(weights)) for w in weights]
+        doc = parse_document({
+            "states": states,
+            "atoms": atoms,
+            "measures": {"w": {s: str(p) for s, p in zip(states, prior)}},
+        })
+        for atom, interp in atoms.items():
+            parsed = {
+                state: frozenset(s for i, s in enumerate(states) if value.mask >> i & 1)
+                for state, value in doc.model.valuation(atom).items()
+            }
+            assert parsed == {state: frozenset(members) for state, members in interp.items()}
+        assert doc.measure("w").weights == tuple(prior)
 
 
 class TestDocumentRejections:
@@ -91,13 +124,26 @@ class TestDocumentRejections:
     def test_zero_denominator_rejected(self):
         data = minimal_document()
         data["measures"]["u"]["a"] = "1/0"
-        with pytest.raises(ModelError, match="denominator"):
+        with pytest.raises(ModelError, match=exactly("measure 'u', state 'a': zero denominator in '1/0'")):
             parse_document(data)
 
     def test_weights_not_summing_to_one_rejected(self):
         data = minimal_document()
         data["measures"]["u"]["a"] = "2/5"
-        with pytest.raises(ModelError, match="'u'"):
+        with pytest.raises(ModelError, match=exactly("measure 'u': weights must sum to 1, got 9/10")):
+            parse_document(data)
+
+    def test_negative_weight_rejected(self):
+        data = minimal_document()
+        data["measures"]["u"] = {"a": "-2/4", "b": "3/2"}
+        with pytest.raises(ModelError, match=exactly("measure 'u': negative weight -1/2 for state 'a'")):
+            parse_document(data)
+
+    @pytest.mark.parametrize("member", [["b"], {"b": 1}], ids=["list", "object"])
+    def test_unhashable_member_is_an_undeclared_state(self, member):
+        data = minimal_document()
+        data["atoms"]["c"] = {"*": ["a", member]}
+        with pytest.raises(ModelError, match=exactly(f"atom 'c': undeclared state {member!r}")):
             parse_document(data)
 
     def test_undeclared_state_in_measure_named(self):

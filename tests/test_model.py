@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from evidential import (
     Model,
@@ -75,6 +76,30 @@ class TestStateSet:
     def test_powerset_enumeration(self):
         small = StateSpace(("x", "y"))
         assert [s.names() for s in small.powerset()] == [(), ("x",), ("y",), ("x", "y")]
+
+    def test_unhashable_member_is_an_unknown_state(self):
+        with pytest.raises(ModelError, match=r"^unknown state: \['a'\]$"):
+            self.space.subset(["a", ["a"]])
+
+
+@st.composite
+def sized_masks(draw):
+    """A state count in 1..300 and a mask over it, often empty, full or top-bit only."""
+    n = draw(st.integers(1, 300))
+    full = (1 << n) - 1
+    mask = draw(st.one_of(st.sampled_from([0, full, 1 << (n - 1)]), st.integers(0, full)))
+    return n, mask
+
+
+@given(sized_masks())
+def test_rendering_matches_per_index_enumeration(case):
+    n, mask = case
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    expected = [space.states[i] for i in range(n) if mask >> i & 1]
+    event = StateSet(space, mask)
+    assert list(event) == expected
+    assert event.names() == tuple(expected)
+    assert str(event) == "{" + ",".join(expected) + "}"
 
 
 class TestValuation:
