@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 from .errors import ModelError, TotalConflictError, UndefinedConditioningError
 from .formula import And, Formula, STRICT
 from .model import Model, StateSet, StateSpace
-from .semantics import interpret, truth_set
+from .semantics import interpreter, truth_set
 
 __all__ = [
     "ProbabilityMeasure",
@@ -208,9 +208,10 @@ def bel(
     merely accompany the event but guarantee it.
     """
     evidence_set, posterior = _evidence_posterior(model, measure, evidence, mode)
+    meaning = interpreter(model, evidence, mode)
     mask = 0
     for i in range(len(model.space)):
-        if interpret(model, evidence, model.space.states[i], mode) <= event:
+        if meaning(i) <= event:
             mask |= 1 << i
     return posterior.of(StateSet(model.space, mask) & evidence_set)
 
@@ -224,10 +225,11 @@ def mass_from_evidence(
     conditional probability that it is the correct interpretation.
     """
     evidence_set, posterior = _evidence_posterior(model, measure, evidence, mode)
+    meaning = interpreter(model, evidence, mode)
     masses: dict[StateSet, Fraction] = {}
-    for name in evidence_set:
-        value = interpret(model, evidence, name, mode)
-        masses[value] = masses.get(value, Fraction(0)) + posterior.of_state(name)
+    for i in evidence_set.indices():
+        value = meaning(i)
+        masses[value] = masses.get(value, Fraction(0)) + posterior.weights[i]
     return MassFunction(model.space, masses)
 
 
@@ -283,9 +285,10 @@ def pointwise_condition(
     tautology can fall below one.  Raises when every term vanishes.
     """
     of_set = truth_set(model, of, mode)
+    meaning = interpreter(model, evidence, mode)
     weights: dict[StateSet, Fraction] = {}
-    for name in model.space.states:
-        value = interpret(model, evidence, name, mode)
+    for i, name in enumerate(model.space.states):
+        value = meaning(i)
         weights[value] = weights.get(value, Fraction(0)) + measure.of_state(name)
     total = Fraction(0)
     survived = False

@@ -7,7 +7,8 @@ Concrete syntax::
     precedence:  ~  >  &  >  |  >  ->  >  =>
     & and | are left-associative; -> and => are right-associative;
     parentheses override.  Unicode aliases accepted on input:
-    ``¬ ∧ ∨ → ⇒``.
+    ``¬ ∧ ∨ → ⇒``.  Formulas nested deeper than :data:`MAX_NESTING` levels,
+    or inside more open parentheses than that, are a syntax error.
 
 Two placement modes govern the entailment connective ``=>``:
 
@@ -101,17 +102,15 @@ def contains_entailment(f: Formula) -> bool:
         return contains_entailment(f.operand)
     if isinstance(f, Entails):
         return True
-    return contains_entailment(f.left) or contains_entailment(f.right)
+    if isinstance(f, (And, Or, Implies)):
+        return contains_entailment(f.left) or contains_entailment(f.right)
+    return False
 
 
-def check_strict_placement(f: Formula) -> None:
-    """Reject entailment anywhere except as the single outermost connective."""
+def entailment_misplaced(f: Formula) -> bool:
+    """True when entailment occurs other than as the single outermost connective."""
     operands = (f.left, f.right) if isinstance(f, Entails) else (f,)
-    for operand in operands:
-        if contains_entailment(operand):
-            raise NestedEntailmentError(
-                "entailment (=>) may only be the outermost connective in strict mode"
-            )
+    return any(map(contains_entailment, operands))
 
 
 _TOKEN = re.compile(
@@ -145,98 +144,134 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting accepted from text, counted both as formula depth and as
+# open parentheses.  It keeps every recursive walk of a parsed formula well
+# inside Python's recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
+
+# Binding strength, loosest first: it decides how the parser groups operands
+# and where the printer needs parentheses.
+_LEVEL = {Entails: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6}
+_BINARY = {kind: (node, _LEVEL[node]) for kind, node in
+           (("entails", Entails), ("implies", Implies), ("or", Or), ("and", And))}
+_RIGHT_ASSOCIATIVE = (Entails, Implies)
+# Any other token closes a group: it binds looser than every operator.
+_CLOSE = (None, 0)
+
+
 class _Parser:
-    """Recursive descent over the operator precedence ladder."""
+    """Operator-precedence parsing over a token list.
+
+    Each parenthesized group is one shunting-yard pass, so operator chains
+    and runs of ``~`` are loops and only parentheses recurse.
+    """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+        self.parens = 0
+        self.entailments = 0
 
     def advance(self) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        token = self.peek()
-        if token[0] != kind:
-            raise FormulaSyntaxError(
-                f"expected {kind}, found {token[1]!r}" if token[0] != "end"
-                else f"unexpected end of input (expected {kind})",
-                token[2],
-            )
-        return self.advance()
-
-    def parse_entails(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek()[0] == "entails":
-            self.advance()
-            return Entails(left, self.parse_entails())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "implies":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek()[0] == "or":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
+    def parse_group(self) -> Formula:
+        """Operands joined by binary operators, up to the first other token."""
+        operands = [self.parse_unary()]
+        pending: list[tuple[type, int]] = []  # operator node and level
+        while True:
+            operator = _BINARY.get(self.tokens[self.pos][0], _CLOSE)
+            node, level = operator
+            # Join what binds tighter, and an equal left-associative operator.
+            while pending and (
+                pending[-1][1] > level
+                or pending[-1][1] == level and node not in _RIGHT_ASSOCIATIVE
+            ):
+                right = operands.pop()
+                operands[-1] = pending.pop()[0](operands[-1], right)
+            if node is None:
+                return operands[0]
+            self.pos += 1
+            if node is Entails:
+                self.entailments += 1
+            pending.append(operator)
+            operands.append(self.parse_unary())
 
     def parse_unary(self) -> Formula:
-        kind, text, position = self.peek()
-        if kind == "not":
-            self.advance()
-            return Not(self.parse_unary())
+        kind, text, position = self.advance()
         if kind == "atom":
-            self.advance()
             return Atom(text)
+        if kind == "not":
+            negations = 1
+            while self.tokens[self.pos][0] == "not":
+                self.pos += 1
+                negations += 1
+            f = self.parse_unary()
+            for _ in range(negations):
+                f = Not(f)
+            return f
         if kind == "lparen":
-            self.advance()
-            f = self.parse_entails()
-            self.expect("rparen")
+            self.parens += 1
+            if self.parens > MAX_NESTING:
+                raise FormulaSyntaxError(_TOO_DEEP, position)
+            f = self.parse_group()
+            kind, text, position = self.advance()
+            if kind != "rparen":
+                raise FormulaSyntaxError(
+                    f"expected rparen, found {text!r}" if kind != "end"
+                    else "unexpected end of input (expected rparen)",
+                    position,
+                )
+            self.parens -= 1
             return f
         if kind == "end":
             raise FormulaSyntaxError("unexpected end of input", position)
         raise FormulaSyntaxError(f"unexpected {text!r}", position)
 
 
+def _depth(f: Formula) -> int:
+    """The length of the longest path from ``f`` to an atom, found without recursion."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if isinstance(g, Atom):
+            deepest = max(deepest, depth)
+        elif isinstance(g, Not):
+            stack.append((g.operand, depth + 1))
+        else:
+            stack += (g.left, depth + 1), (g.right, depth + 1)
+    return deepest
+
+
 def parse(text: str, mode: str = STRICT) -> Formula:
     """Parse formula text into an AST.
 
-    Raises :class:`FormulaSyntaxError` on malformed input and
-    :class:`NestedEntailmentError` when strict mode finds a nested ``=>``.
+    Raises :class:`FormulaSyntaxError` on malformed input or nesting deeper
+    than :data:`MAX_NESTING`, and :class:`NestedEntailmentError` when strict
+    mode finds a nested ``=>``.
     """
     check_mode(mode)
     parser = _Parser(_tokenize(text))
-    f = parser.parse_entails()
-    trailing = parser.peek()
+    f = parser.parse_group()
+    trailing = parser.tokens[parser.pos]
     if trailing[0] != "end":
         raise FormulaSyntaxError(f"unexpected {trailing[1]!r} after formula", trailing[2])
-    if mode == STRICT:
-        check_strict_placement(f)
+    # Every connective is a token, so only long text can nest too deep.
+    if len(parser.tokens) > MAX_NESTING and _depth(f) > MAX_NESTING:
+        raise FormulaSyntaxError(_TOO_DEEP)
+    # Strict placement: the only `=>`, if any, is the outermost connective.
+    if mode == STRICT and parser.entailments != (1 if isinstance(f, Entails) else 0):
+        raise NestedEntailmentError(
+            "entailment (=>) may only be the outermost connective in strict mode"
+        )
     return f
 
 
-# Binding strength, loosest first; used to decide where parentheses are needed.
-_LEVEL = {Entails: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6}
 _SYMBOL = {Entails: "=>", Implies: "->", Or: "|", And: "&"}
-_RIGHT_ASSOCIATIVE = (Entails, Implies)
 
 
 def format_formula(f: Formula) -> str:

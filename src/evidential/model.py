@@ -10,6 +10,7 @@ interpretation entails the truth of the proposition it interprets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -48,6 +49,18 @@ class StateSpace:
             seen.add(name)
         # Each state's bit, so that decoding a member list costs one lookup a name.
         object.__setattr__(self, "_bit", {s: 1 << i for i, s in enumerate(self.states)})
+        # Every StateSet hashes its space, so hash the names once.
+        object.__setattr__(self, "_hash", hash(self.states))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return self.states == other.states
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.states)
@@ -113,7 +126,7 @@ class StateSet:
             raise ModelError(f"set mask {self.mask} out of range for {len(self.space)} states")
 
     def _check_space(self, other: StateSet) -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ModelError("state sets belong to different state spaces")
 
     def __contains__(self, name: object) -> bool:
@@ -122,10 +135,16 @@ class StateSet:
         return bool(self.mask >> self.space.index(name) & 1)
 
     def __iter__(self) -> Iterator[str]:
+        return compress(self.space.states, self._selectors())
+
+    def indices(self) -> Iterator[int]:
+        """The bit indices of the member states, ascending."""
+        return compress(range(len(self.space)), self._selectors())
+
+    def _selectors(self) -> bytes:
         # One C-level pass over the mask's binary digits, lowest bit first;
         # shifting the mask once per state would cost O(n) per step.
-        digits = bin(self.mask)[:1:-1].encode("ascii")
-        return compress(self.space.states, digits.translate(_DIGIT_TO_SELECTOR))
+        return bin(self.mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_SELECTOR)
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
@@ -222,12 +241,17 @@ class VariableValuation:
     def is_constant(self) -> bool:
         return all(s == self.sets[0] for s in self.sets)
 
-    def truth_set(self) -> StateSet:
-        """The states whose own interpretation contains them."""
+    @cached_property
+    def truth_mask(self) -> int:
+        """The bit mask of :meth:`truth_set`, computed once per valuation."""
         mask = 0
         for i, s in enumerate(self.sets):
             mask |= s.mask & (1 << i)
-        return StateSet(self.space, mask)
+        return mask
+
+    def truth_set(self) -> StateSet:
+        """The states whose own interpretation contains them."""
+        return StateSet(self.space, self.truth_mask)
 
     def is_coherent(self) -> bool:
         """True iff every interpretation is contained in the truth set."""

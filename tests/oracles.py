@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 
-from evidential import And, Atom, Implies, Not, Or
+from evidential import And, Atom, Entails, Implies, Not, Or
 
 
 def as_interp(valuation) -> dict:
@@ -51,6 +51,47 @@ def classical_truth_set(universe: frozenset, assignment: dict, f) -> frozenset:
     if isinstance(f, Implies):
         return (universe - left) | right
     raise TypeError(f"classical oracle cannot evaluate {f!r}")
+
+
+def as_interps(model) -> dict:
+    """Every atom's valuation as a plain {state: frozenset-of-states} map."""
+    return {name: as_interp(valuation) for name, valuation in model.atoms.items()}
+
+
+def interpret_by_definition(universe: frozenset, interps: dict, f, x) -> frozenset:
+    """The interpretation of ``f`` at state ``x``, read off the definitions.
+
+    ``interps`` maps each atom to its {state: frozenset} valuation.  Every
+    ``=>`` node, nested or not, denotes the constant set of states where its
+    left interpretation is contained in its right one, recomputed on each
+    visit.
+    """
+    if isinstance(f, Atom):
+        return interps[f.name][x]
+    if isinstance(f, Not):
+        return universe - interpret_by_definition(universe, interps, f.operand, x)
+    if isinstance(f, Entails):
+        return frozenset(
+            y for y in universe
+            if interpret_by_definition(universe, interps, f.left, y)
+            <= interpret_by_definition(universe, interps, f.right, y)
+        )
+    left = interpret_by_definition(universe, interps, f.left, x)
+    right = interpret_by_definition(universe, interps, f.right, x)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Implies):
+        return (universe - left) | right
+    raise TypeError(f"definitional oracle cannot evaluate {f!r}")
+
+
+def truth_set_by_definition(universe: frozenset, interps: dict, f) -> frozenset:
+    """The states that lie in their own interpretation of ``f``."""
+    return frozenset(
+        x for x in universe if x in interpret_by_definition(universe, interps, f, x)
+    )
 
 
 def pointwise_coherent(interp: dict) -> bool:

@@ -8,10 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evidential import (
+    EXTENDED,
+    And,
     Atom,
+    Entails,
+    Implies,
     MassFunction,
     Model,
     ModelError,
+    Not,
+    Or,
     ProbabilityMeasure,
     StateSpace,
     TotalConflictError,
@@ -435,3 +441,48 @@ class TestBeliefProperties:
         mass = mass_from_evidence(model, measure, evidence)
         for event in space.powerset():
             assert mass.belief(event) == bel(model, measure, evidence, event)
+
+
+# Extended-mode evidence with a `=>` beneath another connective.
+nested_evidence = st.builds(
+    lambda join, inner, other: join(inner, other),
+    st.sampled_from([And, Or, Implies, lambda inner, other: Not(inner)]),
+    st.builds(Entails, gens.formulas(max_leaves=4), gens.formulas(max_leaves=4)),
+    gens.formulas(max_leaves=4),
+)
+
+
+class TestNestedEntailmentEvidence:
+    """Evidence read in extended mode agrees with the frozenset oracles,
+    with the evidence's interpretations taken from the definitions."""
+
+    @given(gens.spaces(), st.data())
+    def test_belief_mass_and_pointwise_condition_match_oracles(self, space, data):
+        model = data.draw(gens.models(space))
+        measure = data.draw(gens.measures(space))
+        evidence = data.draw(nested_evidence)
+        universe, interps = frozenset(space), oracles.as_interps(model)
+        interp = {
+            x: oracles.interpret_by_definition(universe, interps, evidence, x) for x in space
+        }
+        weights = oracles.as_weights(measure)
+
+        of = data.draw(gens.formulas(max_leaves=4))
+        of_truth = oracles.truth_set_by_definition(universe, interps, of)
+        if any(interp[x] and oracles.event_probability(weights, interp[x]) > 0 for x in space):
+            expected = oracles.pointwise_condition_by_terms(weights, interp, of_truth)
+            assert pointwise_condition(model, measure, of, evidence, EXTENDED) == expected
+        else:
+            with pytest.raises(UndefinedConditioningError):
+                pointwise_condition(model, measure, of, evidence, EXTENDED)
+
+        truth = oracles.truth_set_by_membership(interp)
+        if oracles.event_probability(weights, truth) == 0:
+            with pytest.raises(UndefinedConditioningError):
+                mass_from_evidence(model, measure, evidence, EXTENDED)
+            return
+        mass = mass_from_evidence(model, measure, evidence, EXTENDED)
+        assert oracles.as_mass_dict(mass) == oracles.mass_by_preimage(weights, interp)
+        event = data.draw(gens.state_sets(space))
+        expected = oracles.bel_by_definition(weights, interp, frozenset(event))
+        assert bel(model, measure, evidence, event, EXTENDED) == expected

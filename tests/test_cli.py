@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from evidential import EXTENDED, parse, truth_set
 from evidential.cli import run
+from evidential.formula import MAX_NESTING
+from test_formula import SHAPES
 
 
 def invoke(capsys, *argv):
@@ -21,6 +24,12 @@ def write_model(tmp_path, data, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def subprocess_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
 
 
 def open_fixture():
@@ -177,12 +186,9 @@ class TestExitCodes:
         # Output far beyond a pipe buffer, so the reader closes mid-write.
         states = [f"s{i}" for i in range(300)]
         path = write_model(tmp_path, {"states": states, "atoms": {"a": {"*": states}}})
-        src = Path(__file__).resolve().parent.parent / "src"
-        pythonpath = filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
         proc = subprocess.Popen(
             [sys.executable, "-m", "evidential", "cohere", path, "a", "--format", "machine"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
         )
         assert proc.stdout.readline().startswith(b"closure[s0]={s0,s1,")
         proc.stdout.close()
@@ -199,6 +205,28 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "truth-set", "coinflip", "zz")
         assert code == 2
         assert "zz" in err
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "h" + ")" * 200,
+        "~" * 1200 + "h",
+        " -> ".join(["h"] * 1200),
+        " & ".join(["h"] * 1200),
+    ], ids=["200 parentheses", "1200 negations", "1200-term implication", "1200-term conjunction"])
+    def test_deep_formula_is_a_one_line_syntax_error(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "evidential", "truth-set", "coinflip", text],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: formula nested deeper than 100 levels")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_formulas_at_the_nesting_limit_evaluate(self, capsys, coinflip, shape):
+        text = SHAPES[shape](MAX_NESTING)
+        code, out, err = invoke(capsys, "truth-set", "coinflip", text, "--mode", "extended")
+        expected = truth_set(coinflip.model, parse(text, EXTENDED), EXTENDED)
+        assert (code, out, err) == (0, f"{expected}\n", "")
 
     def test_strict_mode_nesting(self, capsys):
         code, _, err = invoke(capsys, "truth-set", "coinflip", "(pbar => h) & h")

@@ -17,6 +17,7 @@ from evidential import (
     format_formula,
     parse,
 )
+from evidential.formula import MAX_NESTING
 
 import gens
 
@@ -52,6 +53,14 @@ class TestParse:
 
     def test_atom_names(self):
         assert parse("_x9 & Zz") == And(Atom("_x9"), Atom("Zz"))
+
+    def test_grouping_matches_precedence_and_associativity(self):
+        assert parse("p -> q & r | ~p => q -> r", EXTENDED) == Entails(
+            Implies(p, Or(And(q, r), Not(p))), Implies(q, r)
+        )
+        assert parse("p & q -> r | p & q | r", EXTENDED) == Implies(
+            And(p, q), Or(Or(r, And(p, q)), r)
+        )
 
 
 class TestParseErrors:
@@ -140,3 +149,37 @@ class TestRoundTrip:
     @given(gens.formulas(allow_entails=True))
     def test_arbitrary_round_trip_extended_mode(self, f):
         assert parse(format_formula(f), EXTENDED) == f
+
+
+# Text nested exactly d levels deep, one way per shape of formula.
+SHAPES = {
+    "negations": lambda d: "~" * d + "h",
+    "conjunction chain": lambda d: " & ".join(["h"] * (d + 1)),
+    "disjunction chain": lambda d: " | ".join(["h"] * (d + 1)),
+    "implication chain": lambda d: " -> ".join(["h"] * (d + 1)),
+    "entailment chain": lambda d: " => ".join(["h"] * (d + 1)),
+    "left-nested implication": lambda d: "(" * (d - 1) + "h" + " -> h)" * (d - 1) + " -> h",
+    "negated conjunctions": lambda d: "~(h & " * (d // 2) + "~" * (d % 2) + "h" + ")" * (d // 2),
+    "parentheses": lambda d: "(" * d + "h" + ")" * d,
+}
+
+
+def depth(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return 1 + depth(f.operand)
+    return 1 + max(depth(f.left), depth(f.right))
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_limit_depth_parses_and_round_trips(self, shape):
+        f = parse(SHAPES[shape](MAX_NESTING), EXTENDED)
+        assert depth(f) == (0 if shape == "parentheses" else MAX_NESTING)
+        assert parse(format_formula(f), EXTENDED) == f
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_is_a_syntax_error(self, shape):
+        with pytest.raises(FormulaSyntaxError, match="^formula nested deeper than 100 levels"):
+            parse(SHAPES[shape](MAX_NESTING + 1), EXTENDED)

@@ -1,5 +1,7 @@
 """State spaces, bit-vector events, valuations, coherence."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,23 @@ class TestStateSpace:
         with pytest.raises(ModelError, match="'z'"):
             StateSpace(("a", "b")).index("z")
 
+    def test_separately_built_spaces_are_equal_and_hash_alike(self):
+        first, second = StateSpace(("a", "b", "c")), StateSpace(["a", "b", "c"])
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert StateSet(first, 5) == StateSet(second, 5)
+        assert hash(StateSet(first, 5)) == hash(StateSet(second, 5))
+        assert first.subset(["a"]) | second.subset(["b"]) == first.subset(["a", "b"])
+        assert first.subset(["a"]) <= second.full()
+        Model(first, {"p": VariableValuation.constant(second, second.full())})
+
+    def test_spaces_with_other_names_or_order_differ(self):
+        space = StateSpace(("a", "b", "c"))
+        for other in (StateSpace(("a", "b")), StateSpace(("a", "b", "d")), StateSpace(("b", "a", "c"))):
+            assert space != other
+            assert {StateSet(space, 1): 0}.get(StateSet(other, 1)) is None
+        assert space != ("a", "b", "c")
+
 
 class TestStateSet:
     def setup_method(self):
@@ -72,6 +91,17 @@ class TestStateSet:
         other = StateSpace(("a", "b"))
         with pytest.raises(ModelError):
             self.space.full() & other.full()
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub, operator.le, operator.ge])
+    def test_mixing_equal_sized_spaces_rejected(self, op):
+        other = StateSpace(("a", "b", "c", "e"))
+        with pytest.raises(ModelError, match="different state spaces"):
+            op(self.space.full(), other.full())
+
+    def test_valuation_over_mixed_spaces_rejected(self):
+        other = StateSpace(("a", "b", "c", "e"))
+        with pytest.raises(ModelError, match="different state space"):
+            VariableValuation(self.space, (other.full(),) * 4)
 
     def test_powerset_enumeration(self):
         small = StateSpace(("x", "y"))

@@ -19,7 +19,10 @@ from evidential import (
     lift_event,
     truth_set,
     Model,
+    bel,
+    mass_from_evidence,
     parse,
+    pointwise_condition,
 )
 
 import gens
@@ -150,3 +153,79 @@ class TestSemanticsProperties:
         outer = Entails(f, g)
         assert truth_set(model, outer) == truth_set(model, outer, EXTENDED)
         assert truth_set(model, f) == truth_set(model, f, EXTENDED)
+
+
+def _by_definition(model):
+    return frozenset(model.space), oracles.as_interps(model)
+
+
+class TestDefinitionalOracle:
+    """The library against :mod:`oracles`, which reads every ``=>`` as the
+    constant set of its definition and shares no code with the library."""
+
+    @given(gens.models(), gens.formulas(allow_entails=True))
+    def test_extended_mode_matches_definition(self, model, f):
+        universe, interps = _by_definition(model)
+        expected = oracles.truth_set_by_definition(universe, interps, f)
+        assert frozenset(truth_set(model, f, EXTENDED)) == expected
+        for state in model.space:
+            expected = oracles.interpret_by_definition(universe, interps, f, state)
+            assert frozenset(interpret(model, f, state, EXTENDED)) == expected
+
+    @given(gens.models(), gens.formulas(), gens.formulas())
+    def test_strict_mode_matches_definition(self, model, f, g):
+        universe, interps = _by_definition(model)
+        assert frozenset(truth_set(model, f)) == oracles.truth_set_by_definition(universe, interps, f)
+        for state in model.space:
+            expected = oracles.interpret_by_definition(universe, interps, f, state)
+            assert frozenset(interpret(model, f, state)) == expected
+        outer = Entails(f, g)
+        assert frozenset(truth_set(model, outer)) == oracles.truth_set_by_definition(
+            universe, interps, outer
+        )
+
+
+P, H = Atom("pbar"), Atom("h")
+MISPLACED = {
+    "under negation": Not(Entails(P, H)),
+    "under conjunction": And(Entails(P, H), H),
+    "in the outer left operand": Entails(Entails(P, H), H),
+    "in the outer right operand": Entails(H, Entails(P, H)),
+}
+NO_POINTWISE = "^entailment \\(=>\\) has no pointwise interpretation in strict mode$"
+
+
+def _callers(coinflip):
+    model, pi = coinflip.model, coinflip.measure("pi")
+    return {
+        "interpret": lambda f: interpret(model, f, "H-acc"),
+        "bel": lambda f: bel(model, pi, f, model.space.full()),
+        "mass_from_evidence": lambda f: mass_from_evidence(model, pi, f),
+        "pointwise_condition evidence": lambda f: pointwise_condition(model, pi, H, f),
+        "pointwise_condition of": lambda f: pointwise_condition(model, pi, f, P),
+    }
+
+
+class TestStrictModeErrors:
+    """Hand-built ASTs bypass the parser's placement check; the evaluators
+    reject them with :class:`EntailmentModeError` on their own."""
+
+    @pytest.mark.parametrize("case", MISPLACED)
+    def test_misplaced_entailment_rejected_everywhere(self, coinflip, case):
+        f = MISPLACED[case]
+        callers = _callers(coinflip)
+        callers["truth_set"] = lambda f: truth_set(coinflip.model, f)
+        for call in callers.values():
+            with pytest.raises(EntailmentModeError, match=NO_POINTWISE):
+                call(f)
+
+    def test_outermost_entailment_has_no_pointwise_reading(self, coinflip):
+        f = Entails(P, H)
+        assert truth_set(coinflip.model, f) == coinflip.model.space.subset(
+            ["H-acc", "H-st", "T-acc", "T-st"]
+        )
+        for name, call in _callers(coinflip).items():
+            if name == "pointwise_condition of":
+                continue  # only the truth set of `of` is taken
+            with pytest.raises(EntailmentModeError, match=NO_POINTWISE):
+                call(f)
