@@ -7,8 +7,8 @@ Given a prior over a model's state space and an evidence formula, the
 *evidentially supported belief* in an event is the conditional probability,
 given that the evidence is true, that the evidence's interpretation entails
 the event.  Grouping states by which event is the evidence's correct
-interpretation induces a mass function whose belief function coincides with
-evidentially supported belief.  Two ways to merge evidence are provided:
+interpretation induces a mass function, and :func:`bel` is computed as that
+mass function's belief function.  Two ways to merge evidence are provided:
 classical Dempster combination of mass functions, and pointwise combination,
 which conjoins the evidence formulas and only ever intersects
 interpretations indexed by the same underlying state.
@@ -183,15 +183,16 @@ def degree_given(
     return measure.condition(evidence_set).of(truth_set(model, of, mode))
 
 
-def _evidence_posterior(
-    model: Model, measure: ProbabilityMeasure, evidence: Formula, mode: str
-) -> tuple[StateSet, ProbabilityMeasure]:
-    evidence_set = truth_set(model, evidence, mode)
-    if measure.of(evidence_set) == 0:
-        raise UndefinedConditioningError(
-            f"evidence {evidence} has probability zero; belief is undefined"
-        )
-    return evidence_set, measure.condition(evidence_set)
+def _meaning_weights(
+    model: Model, measure: ProbabilityMeasure, evidence: Formula, mode: str, states: StateSet
+) -> dict[StateSet, Fraction]:
+    """The prior weight of ``states``, grouped by the evidence's meaning at each."""
+    meaning = interpreter(model, evidence, mode)
+    groups: dict[StateSet, Fraction] = {}
+    for i, name in zip(states.indices(), states):
+        value = meaning(i)
+        groups[value] = groups.get(value, 0) + measure.of_state(name)
+    return groups
 
 
 def bel(
@@ -205,15 +206,10 @@ def bel(
 
     The conditional probability, given that the evidence is true, that the
     evidence's interpretation entails the event: the evidence must not
-    merely accompany the event but guarantee it.
+    merely accompany the event but guarantee it.  It is the belief function
+    of :func:`mass_from_evidence`.
     """
-    evidence_set, posterior = _evidence_posterior(model, measure, evidence, mode)
-    meaning = interpreter(model, evidence, mode)
-    mask = 0
-    for i in range(len(model.space)):
-        if meaning(i) <= event:
-            mask |= 1 << i
-    return posterior.of(StateSet(model.space, mask) & evidence_set)
+    return mass_from_evidence(model, measure, evidence, mode).belief(event)
 
 
 def mass_from_evidence(
@@ -224,13 +220,14 @@ def mass_from_evidence(
     Each event in the image of the evidence's valuation receives the
     conditional probability that it is the correct interpretation.
     """
-    evidence_set, posterior = _evidence_posterior(model, measure, evidence, mode)
-    meaning = interpreter(model, evidence, mode)
-    masses: dict[StateSet, Fraction] = {}
-    for i in evidence_set.indices():
-        value = meaning(i)
-        masses[value] = masses.get(value, Fraction(0)) + posterior.weights[i]
-    return MassFunction(model.space, masses)
+    evidence_set = truth_set(model, evidence, mode)
+    total = measure.of(evidence_set)
+    if total == 0:
+        raise UndefinedConditioningError(
+            f"evidence {evidence} has probability zero; belief is undefined"
+        )
+    groups = _meaning_weights(model, measure, evidence, mode, evidence_set)
+    return MassFunction(model.space, {value: w / total for value, w in groups.items()})
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -285,18 +282,14 @@ def pointwise_condition(
     tautology can fall below one.  Raises when every term vanishes.
     """
     of_set = truth_set(model, of, mode)
-    meaning = interpreter(model, evidence, mode)
-    weights: dict[StateSet, Fraction] = {}
-    for i, name in enumerate(model.space.states):
-        value = meaning(i)
-        weights[value] = weights.get(value, Fraction(0)) + measure.of_state(name)
+    groups = _meaning_weights(model, measure, evidence, mode, model.space.full())
     total = Fraction(0)
     survived = False
-    for value, weight in weights.items():
-        if value.mask == 0 or measure.of(value) == 0:
-            continue
-        survived = True
-        total += measure.of(of_set & value) / measure.of(value) * weight
+    for value, weight in groups.items():
+        probability = measure.of(value) if value else 0
+        if probability:
+            survived = True
+            total += measure.of(of_set & value) / probability * weight
     if not survived:
         raise UndefinedConditioningError(
             "every interpretation of the evidence has probability zero or is empty"

@@ -55,7 +55,10 @@ def _parse_rational(text: object, context: str) -> Fraction:
     match = _RATIONAL.match(text) if isinstance(text, str) else None
     if match is None:
         raise ModelError(f"{context}: expected a rational string like '3/10' or '1', got {text!r}")
-    numerator, denominator = map(int, match.groups("1"))
+    try:
+        numerator, denominator = map(int, match.groups("1"))
+    except ValueError:  # a numeral beyond the interpreter's int-digit limit
+        raise ModelError(f"{context}: numeral exceeds the integer digit limit") from None
     if denominator == 0:
         raise ModelError(f"{context}: zero denominator in {text!r}")
     return Fraction(numerator, denominator)
@@ -131,8 +134,14 @@ def load_document(path: "str | Path") -> ModelDocument:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelError(f"cannot read model document {str(path)!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model document {str(path)!r} is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON in model document {str(path)!r}: {exc}") from None
+    except ValueError:  # a JSON integer beyond the interpreter's int-digit limit
+        raise ModelError(
+            f"invalid JSON in model document {str(path)!r}: numeral exceeds the integer digit limit"
+        ) from None
     return parse_document(data)

@@ -12,10 +12,12 @@ defined directly.  In extended mode the connective may also appear nested,
 where it denotes the constant function returning that truth set; in strict
 mode interpreting it pointwise is an error.
 
-Because every connective but ``=>`` acts pointwise, the truth set of a
-formula is the same Boolean combination of its parts' truth sets, so
-:func:`truth_set` folds bit masks and needs per-state interpretations only
-beneath a ``=>``.  Each ``=>`` node is evaluated once per call.
+Every connective but ``=>`` acts pointwise, so the truth set of a formula
+is the same Boolean combination of its atoms' truth sets as its
+interpretation at a state is of their interpretations there.  One fold over
+bit masks serves both: :func:`truth_set` folds the atoms' truth masks, and
+:func:`interpreter` folds the masks of their interpretations at one state.
+Each ``=>`` node is evaluated once per call, by that same fold at every state.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def interpreter(model: Model, f: Formula, mode: str = STRICT) -> Callable[[int],
     check_mode(mode)
     if mode == STRICT and contains_entailment(f):
         raise EntailmentModeError(_NO_POINTWISE)
-    memo: dict[int, StateSet] = {}
-    return lambda i: _interpret(model, f, i, memo)
+    memo: dict[int, int] = {}
+    return lambda i: StateSet(model.space, _fold(model, f, i, memo))
 
 
 def truth_set(model: Model, f: Formula, mode: str = STRICT) -> StateSet:
@@ -67,52 +69,36 @@ def truth_set(model: Model, f: Formula, mode: str = STRICT) -> StateSet:
     check_mode(mode)
     if mode == STRICT and entailment_misplaced(f):
         raise EntailmentModeError(_NO_POINTWISE)
-    full = (1 << len(model.space)) - 1
-    memo: dict[int, StateSet] = {}
-
-    def fold(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return model.valuation(g.name).truth_mask
-        if isinstance(g, Not):
-            return full ^ fold(g.operand)
-        if isinstance(g, Entails):
-            return _entailment_set(model, g, memo).mask
-        if not isinstance(g, (And, Or, Implies)):
-            raise TypeError(f"not a formula node: {g!r}")
-        left, right = fold(g.left), fold(g.right)
-        if isinstance(g, And):
-            return left & right
-        if isinstance(g, Or):
-            return left | right
-        return (full ^ left) | right
-
-    return StateSet(model.space, fold(f))
+    return StateSet(model.space, _fold(model, f, None, {}))
 
 
-def _interpret(model: Model, f: Formula, i: int, memo: dict[int, StateSet]) -> StateSet:
+def _fold(model: Model, f: Formula, at: int | None, memo: dict[int, int]) -> int:
+    """The mask of ``f``'s truth set when ``at`` is None, else of its
+    interpretation at the state with index ``at``."""
     if isinstance(f, Atom):
-        return model.valuation(f.name).sets[i]
+        valuation = model.valuation(f.name)
+        return valuation.truth_mask if at is None else valuation.sets[at].mask
     if isinstance(f, Not):
-        return _interpret(model, f.operand, i, memo).complement()
-    if isinstance(f, And):
-        return _interpret(model, f.left, i, memo) & _interpret(model, f.right, i, memo)
-    if isinstance(f, Or):
-        return _interpret(model, f.left, i, memo) | _interpret(model, f.right, i, memo)
-    if isinstance(f, Implies):
-        return _interpret(model, f.left, i, memo).complement() | _interpret(model, f.right, i, memo)
+        return ((1 << len(model.space)) - 1) ^ _fold(model, f.operand, at, memo)
     if isinstance(f, Entails):
-        return _entailment_set(model, f, memo)
-    raise TypeError(f"not a formula node: {f!r}")
+        return _entailment_mask(model, f, memo)
+    if not isinstance(f, (And, Or, Implies)):
+        raise TypeError(f"not a formula node: {f!r}")
+    left, right = _fold(model, f.left, at, memo), _fold(model, f.right, at, memo)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    return (((1 << len(model.space)) - 1) ^ left) | right
 
 
-def _entailment_set(model: Model, f: Entails, memo: dict[int, StateSet]) -> StateSet:
+def _entailment_mask(model: Model, f: Entails, memo: dict[int, int]) -> int:
     """The states where left's interpretation is inside right's, computed
     once per node and call: ``memo`` is keyed by node identity."""
-    result = memo.get(id(f))
-    if result is None:
-        mask = 0
-        for i in range(len(model.space)):
-            if _interpret(model, f.left, i, memo) <= _interpret(model, f.right, i, memo):
-                mask |= 1 << i
-        result = memo[id(f)] = StateSet(model.space, mask)
-    return result
+    if id(f) not in memo:
+        memo[id(f)] = sum(
+            1 << i
+            for i in range(len(model.space))
+            if _fold(model, f.left, i, memo) & ~_fold(model, f.right, i, memo) == 0
+        )
+    return memo[id(f)]

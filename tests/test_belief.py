@@ -11,6 +11,7 @@ from evidential import (
     EXTENDED,
     And,
     Atom,
+    EntailmentModeError,
     Entails,
     Implies,
     MassFunction,
@@ -153,6 +154,28 @@ class TestEvidentialBelief:
         model, prime = coinflip.model, coinflip.measure("piPrime")
         gap = degree_given(model, prime, A, PBAR) - bel(model, prime, PBAR, model.atom_truth_set("a"))
         assert gap == 1
+
+    def test_zero_probability_wins_over_strict_entailment(self, coinflip):
+        """Strict outermost `=>` evidence has no pointwise reading, but when its
+        truth set has prior probability zero the conditioning error comes first."""
+        model = coinflip.model
+        weights = {name: Fraction(0) for name in model.space}
+        weights.update({"H-sh": Fraction(1, 2), "T-sh": Fraction(1, 2)})
+        shaky = ProbabilityMeasure.from_weights(model.space, weights)
+        evidence = Entails(PBAR, H)
+        message = "^evidence pbar => h has probability zero; belief is undefined$"
+        with pytest.raises(UndefinedConditioningError, match=message):
+            bel(model, shaky, evidence, model.space.full())
+        with pytest.raises(UndefinedConditioningError, match=message):
+            mass_from_evidence(model, shaky, evidence)
+        for pair in ((evidence, H), (H, evidence), (evidence, evidence)):
+            with pytest.raises(EntailmentModeError, match="no pointwise interpretation"):
+                pointwise_combine(model, shaky, *pair)
+        pi = coinflip.measure("pi")
+        with pytest.raises(EntailmentModeError, match="no pointwise interpretation"):
+            bel(model, pi, evidence, model.space.full())
+        with pytest.raises(EntailmentModeError, match="no pointwise interpretation"):
+            mass_from_evidence(model, pi, evidence)
 
     @given(gens.spaces(), st.data())
     def test_constant_evidence_ignores_the_prior(self, space, data):

@@ -11,6 +11,7 @@ import pytest
 from evidential import EXTENDED, parse, truth_set
 from evidential.cli import run
 from evidential.formula import MAX_NESTING
+from test_document import long_numeral
 from test_formula import SHAPES
 
 
@@ -181,6 +182,24 @@ class TestExitCodes:
         path = write_model(tmp_path, data)
         code, out, err = invoke(capsys, "check", path)
         assert (code, out, err) == (2, "", "error: atom 'h': undeclared state ['H-acc']\n")
+
+    def test_non_utf8_document(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: model document {str(path)!r} is not UTF-8: ")
+        assert err.count("\n") == 1
+
+    def test_numerals_beyond_the_digit_limit(self, capsys, tmp_path):
+        numeral = long_numeral()
+        for weight in (f'"{numeral}/{numeral}"', numeral):
+            path = tmp_path / "model.json"
+            path.write_text('{"states": ["a"], "measures": {"u": {"a": %s}}}' % weight)
+            code, out, err = invoke(capsys, "check", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("numeral exceeds the integer digit limit\n")
 
     def test_closed_stdout_is_quiet_success(self, tmp_path):
         # Output far beyond a pipe buffer, so the reader closes mid-write.

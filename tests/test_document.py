@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,18 @@ def minimal_document():
         },
         "measures": {"u": {"a": "1/2", "b": "1/2"}},
     }
+
+
+def one_state_document(weight):
+    return {"states": ["a"], "measures": {"u": {"a": weight}}}
+
+
+def long_numeral():
+    """A numeral one digit beyond the interpreter's int-digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter has no int-digit limit")
+    return "1" + "0" * limit
 
 
 class TestParseDocument:
@@ -146,6 +159,23 @@ class TestDocumentRejections:
         with pytest.raises(ModelError, match=exactly(f"atom 'c': undeclared state {member!r}")):
             parse_document(data)
 
+    def test_numeral_beyond_the_digit_limit_rejected(self):
+        data = one_state_document(f"{long_numeral()}/{long_numeral()}")
+        with pytest.raises(ModelError, match=exactly(
+            "measure 'u', state 'a': numeral exceeds the integer digit limit"
+        )):
+            parse_document(data)
+
+    def test_long_numerals_are_valid_without_the_digit_limit(self):
+        numeral = long_numeral()
+        data = one_state_document(f"{numeral}/{numeral}")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_document(data).measure("u").of_state("a") == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_undeclared_state_in_measure_named(self):
         data = minimal_document()
         data["measures"]["u"]["ghost"] = "0"
@@ -183,6 +213,19 @@ class TestLoadDocument:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ModelError, match="invalid JSON"):
+            load_document(path)
+
+    def test_bare_integer_beyond_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"states": ["a"], "measures": {"u": {"a": %s}}}' % long_numeral())
+        message = f"invalid JSON in model document {str(path)!r}: numeral exceeds the integer digit limit"
+        with pytest.raises(ModelError, match=exactly(message)):
+            load_document(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ModelError, match="is not UTF-8"):
             load_document(path)
 
 
