@@ -69,7 +69,11 @@ class ProbabilityMeasure:
         denominator = lcm(*(w.denominator for w in self.weights))
         total = sum(w.numerator * (denominator // w.denominator) for w in self.weights)
         if total != denominator:
-            raise ModelError(f"weights must sum to 1, got {Fraction(total, denominator)}")
+            try:
+                got = str(Fraction(total, denominator))
+            except ValueError:  # a numeral beyond the interpreter's int-digit limit
+                got = "a sum whose numerals exceed the integer digit limit"
+            raise ModelError(f"weights must sum to 1, got {got}")
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:

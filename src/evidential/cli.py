@@ -77,18 +77,23 @@ def _parse_event(document: ModelDocument, text: str, mode: str) -> StateSet:
 
 
 class _Output:
+    """A command's result lines, written only once all of them are rendered."""
+
     def __init__(self, machine: bool):
         self.machine = machine
+        self.lines: list[tuple[str, object]] = []  # prefix and value
 
     def value(self, key: str, value) -> None:
-        print(f"{key}={value}" if self.machine else value)
+        self.lines.append((f"{key}=" if self.machine else "", value))
 
     def entry(self, key: str, label: str, value) -> None:
-        print(f"{key}[{label}]={value}" if self.machine else f"{label}: {value}")
+        self.lines.append((f"{key}[{label}]=" if self.machine else f"{label}: ", value))
 
-    def note(self, text: str) -> None:
-        if not self.machine:
-            print(text)
+    def render(self) -> str:
+        try:
+            return "".join(f"{prefix}{value}\n" for prefix, value in self.lines)
+        except ValueError:  # a numeral beyond the interpreter's int-digit limit
+            raise EvidentialError("result numeral exceeds the integer digit limit") from None
 
 
 def _emit_mass(out: _Output, mass: MassFunction) -> None:
@@ -99,19 +104,16 @@ def _emit_mass(out: _Output, mass: MassFunction) -> None:
 def _cmd_check(args, document: ModelDocument, out: _Output) -> int:
     model = document.model
     if out.machine:
-        print(f"states={len(model.space)}")
-        print(f"atoms={len(model.atoms)}")
-        print(f"measures={len(document.measures)}")
+        out.value("states", len(model.space))
+        out.value("atoms", len(model.atoms))
+        out.value("measures", len(document.measures))
         for atom in model.atoms:
-            print(f"coherent[{atom}]={'true' if model.is_coherent(atom) else 'false'}")
+            out.entry("coherent", atom, "true" if model.is_coherent(atom) else "false")
     else:
-        print(
-            f"ok: {len(model.space)} states, {len(model.atoms)} atoms, "
-            f"{len(document.measures)} measures"
-        )
+        out.value("summary", f"ok: {len(model.space)} states, {len(model.atoms)} atoms, "
+                             f"{len(document.measures)} measures")
         for atom in model.atoms:
-            status = "coherent" if model.is_coherent(atom) else "incoherent"
-            print(f"atom {atom}: {status}")
+            out.entry("coherent", f"atom {atom}", "coherent" if model.is_coherent(atom) else "incoherent")
     return EXIT_OK
 
 
@@ -188,12 +190,8 @@ def _cmd_pointwise_condition(args, document: ModelDocument, out: _Output) -> int
     of = parse(args.of, args.mode)
     evidence = parse(args.evidence, args.mode)
     result = pointwise_condition(document.model, measure, of, evidence, args.mode)
-    if out.machine:
-        print("exploratory=true")
-        print(f"pointwise_condition={result}")
-    else:
-        print(EXPLORATORY_BANNER)
-        print(result)
+    out.value("exploratory", "true" if out.machine else EXPLORATORY_BANNER)
+    out.value("pointwise_condition", result)
     return EXIT_OK
 
 
@@ -272,7 +270,9 @@ def run(argv) -> int:
     try:
         document = _resolve_document(args.model)
         out = _Output(machine=args.format == "machine")
-        return args.handler(args, document, out)
+        code = args.handler(args, document, out)
+        sys.stdout.write(out.render())
+        return code
     except (UndefinedConditioningError, TotalConflictError) as exc:
         print(f"undefined: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

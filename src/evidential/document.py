@@ -139,9 +139,11 @@ def load_document(path: "str | Path") -> ModelDocument:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON in model document {str(path)!r}: {exc}") from None
+        reason = str(exc)
     except ValueError:  # a JSON integer beyond the interpreter's int-digit limit
-        raise ModelError(
-            f"invalid JSON in model document {str(path)!r}: numeral exceeds the integer digit limit"
-        ) from None
-    return parse_document(data)
+        reason = "numeral exceeds the integer digit limit"
+    except RecursionError:
+        reason = "nested too deeply"
+    else:
+        return parse_document(data)
+    raise ModelError(f"invalid JSON in model document {str(path)!r}: {reason}")

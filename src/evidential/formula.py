@@ -8,7 +8,8 @@ Concrete syntax::
     & and | are left-associative; -> and => are right-associative;
     parentheses override.  Unicode aliases accepted on input:
     ``¬ ∧ ∨ → ⇒``.  Formulas nested deeper than :data:`MAX_NESTING` levels,
-    or inside more open parentheses than that, are a syntax error.
+    or inside more open parentheses than that, are a syntax error.  Parsing,
+    printing and the placement check are loops: none of them recurses.
 
 Two placement modes govern the entailment connective ``=>``:
 
@@ -96,21 +97,32 @@ def check_mode(mode: str) -> None:
 
 
 def contains_entailment(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, Not):
-        return contains_entailment(f.operand)
-    if isinstance(f, Entails):
-        return True
-    if isinstance(f, (And, Or, Implies)):
-        return contains_entailment(f.left) or contains_entailment(f.right)
-    return False
+    return _walk(f)[1] > 0
 
 
 def entailment_misplaced(f: Formula) -> bool:
     """True when entailment occurs other than as the single outermost connective."""
-    operands = (f.left, f.right) if isinstance(f, Entails) else (f,)
-    return any(map(contains_entailment, operands))
+    return _walk(f)[1] != isinstance(f, Entails)
+
+
+def _walk(f: Formula) -> tuple[int, int]:
+    """The longest path from ``f`` to an atom, and the number of ``=>`` nodes."""
+    depth, entailments = -1, 0
+    level = [f]
+    while level:
+        depth += 1
+        below = []
+        for g in level:
+            if type(g) is Atom:  # a fast path for the commonest leaf
+                continue
+            if isinstance(g, Not):
+                below.append(g.operand)
+            elif isinstance(g, _CONNECTIVES):
+                if isinstance(g, Entails):
+                    entailments += 1
+                below += g.left, g.right
+        level = below
+    return depth, entailments
 
 
 _TOKEN = re.compile(
@@ -144,107 +156,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Deepest nesting accepted from text, counted both as formula depth and as
-# open parentheses.  It keeps every recursive walk of a parsed formula well
-# inside Python's recursion limit.
+# Deepest nesting accepted from text, as formula depth and as open parentheses.
+# It keeps the recursive evaluator in :mod:`.semantics` inside Python's limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
-# Binding strength, loosest first: it decides how the parser groups operands
-# and where the printer needs parentheses.
-_LEVEL = {Entails: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6}
-_BINARY = {kind: (node, _LEVEL[node]) for kind, node in
-           (("entails", Entails), ("implies", Implies), ("or", Or), ("and", And))}
+# Binding strength, loosest first, for the parser's grouping and the printer's
+# parentheses.  ``None`` is an open parenthesis on the parser's stack.
+_LEVEL = {None: 0, Entails: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6}
+_BINARY = {"entails": Entails, "implies": Implies, "or": Or, "and": And}
+_CONNECTIVES = tuple(_BINARY.values())
 _RIGHT_ASSOCIATIVE = (Entails, Implies)
-# Any other token closes a group: it binds looser than every operator.
-_CLOSE = (None, 0)
-
-
-class _Parser:
-    """Operator-precedence parsing over a token list.
-
-    Each parenthesized group is one shunting-yard pass, so operator chains
-    and runs of ``~`` are loops and only parentheses recurse.
-    """
-
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.parens = 0
-        self.entailments = 0
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse_group(self) -> Formula:
-        """Operands joined by binary operators, up to the first other token."""
-        operands = [self.parse_unary()]
-        pending: list[tuple[type, int]] = []  # operator node and level
-        while True:
-            operator = _BINARY.get(self.tokens[self.pos][0], _CLOSE)
-            node, level = operator
-            # Join what binds tighter, and an equal left-associative operator.
-            while pending and (
-                pending[-1][1] > level
-                or pending[-1][1] == level and node not in _RIGHT_ASSOCIATIVE
-            ):
-                right = operands.pop()
-                operands[-1] = pending.pop()[0](operands[-1], right)
-            if node is None:
-                return operands[0]
-            self.pos += 1
-            if node is Entails:
-                self.entailments += 1
-            pending.append(operator)
-            operands.append(self.parse_unary())
-
-    def parse_unary(self) -> Formula:
-        kind, text, position = self.advance()
-        if kind == "atom":
-            return Atom(text)
-        if kind == "not":
-            negations = 1
-            while self.tokens[self.pos][0] == "not":
-                self.pos += 1
-                negations += 1
-            f = self.parse_unary()
-            for _ in range(negations):
-                f = Not(f)
-            return f
-        if kind == "lparen":
-            self.parens += 1
-            if self.parens > MAX_NESTING:
-                raise FormulaSyntaxError(_TOO_DEEP, position)
-            f = self.parse_group()
-            kind, text, position = self.advance()
-            if kind != "rparen":
-                raise FormulaSyntaxError(
-                    f"expected rparen, found {text!r}" if kind != "end"
-                    else "unexpected end of input (expected rparen)",
-                    position,
-                )
-            self.parens -= 1
-            return f
-        if kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", position)
-        raise FormulaSyntaxError(f"unexpected {text!r}", position)
-
-
-def _depth(f: Formula) -> int:
-    """The length of the longest path from ``f`` to an atom, found without recursion."""
-    deepest = 0
-    stack = [(f, 0)]
-    while stack:
-        g, depth = stack.pop()
-        if isinstance(g, Atom):
-            deepest = max(deepest, depth)
-        elif isinstance(g, Not):
-            stack.append((g.operand, depth + 1))
-        else:
-            stack += (g.left, depth + 1), (g.right, depth + 1)
-    return deepest
 
 
 def parse(text: str, mode: str = STRICT) -> Formula:
@@ -255,41 +177,88 @@ def parse(text: str, mode: str = STRICT) -> Formula:
     mode finds a nested ``=>``.
     """
     check_mode(mode)
-    parser = _Parser(_tokenize(text))
-    f = parser.parse_group()
-    trailing = parser.tokens[parser.pos]
-    if trailing[0] != "end":
-        raise FormulaSyntaxError(f"unexpected {trailing[1]!r} after formula", trailing[2])
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list = []  # operators and open parentheses, as in _LEVEL
+    parens = 0
+    want_operand = True
+    for kind, value, position in tokens:
+        if want_operand:
+            if kind == "atom":
+                operands.append(Atom(value))
+                want_operand = False
+            elif kind == "not":
+                pending.append(Not)
+            elif kind == "lparen":
+                parens += 1
+                if parens > MAX_NESTING:
+                    raise FormulaSyntaxError(_TOO_DEEP, position)
+                pending.append(None)
+            elif kind == "end":
+                raise FormulaSyntaxError("unexpected end of input", position)
+            else:
+                raise FormulaSyntaxError(f"unexpected {value!r}", position)
+            continue
+        node = _BINARY.get(kind)
+        # Join what binds tighter, and an equal left-associative operator.
+        # Any other token joins everything back to the open parenthesis.
+        floor = _LEVEL[node] + (node in _RIGHT_ASSOCIATIVE) if node else 1
+        while pending and _LEVEL[pending[-1]] >= floor:
+            operator = pending.pop()
+            if operator is Not:
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = operator(operands[-1], right)
+        if node:
+            pending.append(node)
+            want_operand = True
+        elif kind == "rparen" and parens:
+            pending.pop()
+            parens -= 1
+        elif kind == "end" and parens:
+            raise FormulaSyntaxError("unexpected end of input (expected rparen)", position)
+        elif parens:
+            raise FormulaSyntaxError(f"expected rparen, found {value!r}", position)
+        elif kind != "end":
+            raise FormulaSyntaxError(f"unexpected {value!r} after formula", position)
+    f = operands[0]
     # Every connective is a token, so only long text can nest too deep.
-    if len(parser.tokens) > MAX_NESTING and _depth(f) > MAX_NESTING:
+    if len(tokens) > MAX_NESTING and _walk(f)[0] > MAX_NESTING:
         raise FormulaSyntaxError(_TOO_DEEP)
-    # Strict placement: the only `=>`, if any, is the outermost connective.
-    if mode == STRICT and parser.entailments != (1 if isinstance(f, Entails) else 0):
+    if mode == STRICT and entailment_misplaced(f):
         raise NestedEntailmentError(
             "entailment (=>) may only be the outermost connective in strict mode"
         )
     return f
 
 
-_SYMBOL = {Entails: "=>", Implies: "->", Or: "|", And: "&"}
+_SYMBOL = {Entails: " => ", Implies: " -> ", Or: " | ", And: " & "}
 
 
 def format_formula(f: Formula) -> str:
     """Emit minimally parenthesized text that reparses to an identical AST."""
-    return _format(f, 0, False)
-
-
-def _format(f: Formula, parent_level: int, is_weak_side: bool) -> str:
-    level = _LEVEL[type(f)]
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + _format(f.operand, level, False)
-    symbol = _SYMBOL[type(f)]
-    if isinstance(f, _RIGHT_ASSOCIATIVE):
-        text = f"{_format(f.left, level, True)} {symbol} {_format(f.right, level, False)}"
-    else:
-        text = f"{_format(f.left, level, False)} {symbol} {_format(f.right, level, True)}"
-    if level < parent_level or (level == parent_level and is_weak_side):
-        return "(" + text + ")"
-    return text
+    text = []
+    # Text still to emit, and nodes with their parent's level and whether they
+    # stand on its weak side, where an equal level needs parentheses.
+    stack: list = [(f, 0, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            text.append(item)
+            continue
+        g, parent_level, weak_side = item
+        kind = type(g)
+        level = _LEVEL[kind]
+        if kind is Atom:
+            text.append(g.name)
+        elif kind is Not:
+            text.append("~")
+            stack.append((g.operand, level, False))
+        else:
+            right_associative = kind in _RIGHT_ASSOCIATIVE
+            wrap = level < parent_level or level == parent_level and weak_side
+            stack += (")" if wrap else "", (g.right, level, not right_associative),
+                      _SYMBOL[kind], (g.left, level, right_associative))
+            text.append("(" if wrap else "")
+    return "".join(text)

@@ -11,7 +11,7 @@ import pytest
 from evidential import EXTENDED, parse, truth_set
 from evidential.cli import run
 from evidential.formula import MAX_NESTING
-from test_document import long_numeral
+from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
 
 
@@ -200,6 +200,39 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
             assert err.endswith("numeral exceeds the integer digit limit\n")
+
+    def test_sum_beyond_the_digit_limit(self, capsys, tmp_path):
+        digits = digit_limit() * 3 // 4
+        weights = {"a": "1/1" + "0" * digits, "b": "1/" + "3" * digits}
+        path = write_model(tmp_path, {"states": ["a", "b"], "measures": {"u": weights}})
+        code, out, err = invoke(capsys, "check", path)
+        assert (code, out) == (2, "")
+        assert err == ("error: measure 'u': weights must sum to 1, "
+                       "got a sum whose numerals exceed the integer digit limit\n")
+
+    def test_result_beyond_the_digit_limit(self, capsys, tmp_path):
+        # Weights over one denominator of just over half the limit's digits:
+        # a mass prints, while Dempster's products pass the limit.
+        d = 10 ** (digit_limit() // 2) + 1
+        path = write_model(tmp_path, {
+            "states": ["a", "b", "c"],
+            "atoms": {"e": {"a": ["a"], "b": ["a", "b"], "c": ["a", "b", "c"]},
+                      "f": {"a": ["a", "b"], "b": ["b", "c"], "c": ["a", "c"]}},
+            "measures": {"u": {"a": f"1/{d}", "b": f"2/{d}", "c": f"{d - 3}/{d}"}},
+        })
+        code, out, err = invoke(capsys, "mass", path, "--measure", "u", "--evidence", "e")
+        assert (code, err) == (0, "")
+        for output in ("text", "machine"):
+            code, out, err = invoke(capsys, "combine", path, "--measure", "u", "--rule", "dempster",
+                                    "--e1", "e", "--e2", "f", "--format", output)
+            assert (code, out, err) == (2, "", "error: result numeral exceeds the integer digit limit\n")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"states": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid JSON in model document {str(path)!r}: nested too deeply\n"
 
     def test_closed_stdout_is_quiet_success(self, tmp_path):
         # Output far beyond a pipe buffer, so the reader closes mid-write.

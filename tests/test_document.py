@@ -31,12 +31,17 @@ def one_state_document(weight):
     return {"states": ["a"], "measures": {"u": {"a": weight}}}
 
 
-def long_numeral():
-    """A numeral one digit beyond the interpreter's int-digit limit."""
+def digit_limit():
+    """The interpreter's int-digit limit; the test is skipped where there is none."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit == 0:
         pytest.skip("this interpreter has no int-digit limit")
-    return "1" + "0" * limit
+    return limit
+
+
+def long_numeral():
+    """A numeral one digit beyond the interpreter's int-digit limit."""
+    return "1" + "0" * digit_limit()
 
 
 class TestParseDocument:

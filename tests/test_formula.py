@@ -1,5 +1,7 @@
 """Formula parsing and printing."""
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -63,32 +65,55 @@ class TestParse:
         )
 
 
+def exactly(message, position):
+    return "^" + re.escape(f"{message} (at position {position})") + "$"
+
+
+def assert_syntax_errors(cases):
+    for text, message, position in cases:
+        with pytest.raises(FormulaSyntaxError, match=exactly(message, position)) as info:
+            parse(text)
+        assert info.value.position == position
+
+
 class TestParseErrors:
     def test_unexpected_character_reports_position(self):
-        with pytest.raises(FormulaSyntaxError) as info:
-            parse("p @ q")
-        assert info.value.position == 3
+        assert_syntax_errors([
+            ("p @ q", "unexpected character '@'", 3),
+            ("p - q", "unexpected character '-'", 3),
+        ])
 
     def test_truncated_input(self):
-        with pytest.raises(FormulaSyntaxError):
-            parse("p &")
+        assert_syntax_errors([
+            ("p &", "unexpected end of input", 4),
+            ("~", "unexpected end of input", 2),
+            ("p -> (q &", "unexpected end of input", 10),
+        ])
 
     def test_unbalanced_parenthesis(self):
-        with pytest.raises(FormulaSyntaxError):
-            parse("(p & q")
-        with pytest.raises(FormulaSyntaxError):
-            parse("p)")
+        assert_syntax_errors([
+            ("(p & q", "unexpected end of input (expected rparen)", 7),
+            ("((p) | q", "unexpected end of input (expected rparen)", 9),
+            ("(p q)", "expected rparen, found 'q'", 4),
+            ("(p & q) & (r ~p)", "expected rparen, found '~'", 14),
+            ("((p)(q))", "expected rparen, found '('", 5),
+            ("p)", "unexpected ')' after formula", 2),
+            ("()", "unexpected ')'", 2),
+        ])
 
     def test_trailing_tokens(self):
-        with pytest.raises(FormulaSyntaxError):
-            parse("p q")
+        assert_syntax_errors([
+            ("p q", "unexpected 'q' after formula", 3),
+            ("(p) ~q", "unexpected '~' after formula", 5),
+            ("p & q (r)", "unexpected '(' after formula", 7),
+            ("p => q) & r", "unexpected ')' after formula", 7),
+        ])
 
     def test_empty_input(self):
-        with pytest.raises(FormulaSyntaxError):
-            parse("")
+        assert_syntax_errors([("", "unexpected end of input", 1), ("   ", "unexpected end of input", 4)])
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mode must be 'strict' or 'extended', got 'sloppy'$"):
             parse("p", "sloppy")
 
 
@@ -183,3 +208,15 @@ class TestNestingLimit:
     def test_one_level_deeper_is_a_syntax_error(self, shape):
         with pytest.raises(FormulaSyntaxError, match="^formula nested deeper than 100 levels"):
             parse(SHAPES[shape](MAX_NESTING + 1), EXTENDED)
+
+    def test_hand_built_asts_of_any_depth_print_and_are_rejected_as_text(self):
+        negations, implications = p, p
+        for _ in range(10_000):
+            negations, implications = Not(negations), Implies(implications, p)
+        assert format_formula(negations) == "~" * 10_000 + "p"
+        assert format_formula(implications) == "(" * 9_999 + "p" + " -> p)" * 9_999 + " -> p"
+        for f in (negations, implications):
+            text = format_formula(f)
+            assert str(f) == text
+            with pytest.raises(FormulaSyntaxError, match="^formula nested deeper than 100 levels"):
+                parse(text, EXTENDED)
