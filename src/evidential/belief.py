@@ -16,13 +16,12 @@ interpretations indexed by the same underlying state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import ModelError, TotalConflictError, UndefinedConditioningError
+from .errors import ModelError, TotalConflictError, UndefinedConditioningError, _set, _Value, _shown
 from .formula import And, Formula, STRICT
 from .model import Model, StateSet, StateSpace
 from .semantics import interpreter, truth_set
@@ -48,32 +47,30 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ProbabilityMeasure:
+class ProbabilityMeasure(_Value):
     """Exact nonnegative weights per state, summing to one."""
 
-    space: StateSpace
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("space", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(_as_fraction(w) for w in self.weights))
-        if len(self.weights) != len(self.space):
-            raise ModelError(
-                f"measure must weight all {len(self.space)} states, got {len(self.weights)}"
-            )
-        for name, w in zip(self.space.states, self.weights):
+    def __init__(self, space: StateSpace, weights: Iterable[object]):
+        weights = tuple(_as_fraction(w) for w in weights)
+        if len(weights) != len(space):
+            raise ModelError(f"measure must weight all {len(space)} states, got {len(weights)}")
+        for name, w in zip(space.states, weights):
             if w.numerator < 0:
-                raise ModelError(f"negative weight {w} for state {name!r}")
+                raise ModelError(f"negative weight {w} for state {_shown(name)}")
         # One integer sum over the common denominator instead of n Fraction
         # additions, each with its own gcd.
-        denominator = lcm(*(w.denominator for w in self.weights))
-        total = sum(w.numerator * (denominator // w.denominator) for w in self.weights)
+        denominator = lcm(*(w.denominator for w in weights))
+        total = sum(w.numerator * (denominator // w.denominator) for w in weights)
         if total != denominator:
             try:
                 got = str(Fraction(total, denominator))
             except ValueError:  # a numeral beyond the interpreter's int-digit limit
                 got = "a sum whose numerals exceed the integer digit limit"
             raise ModelError(f"weights must sum to 1, got {got}")
+        _set(self, "space", space)
+        _set(self, "weights", weights)
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
@@ -82,7 +79,7 @@ class ProbabilityMeasure:
             space.index(name)
         missing = [name for name in space.states if name not in weights]
         if missing:
-            raise ModelError(f"measure missing weight for state {missing[0]!r}")
+            raise ModelError(f"measure missing weight for state {_shown(missing[0])}")
         return cls(space, tuple(weights[name] for name in space.states))
 
     def of(self, event: StateSet) -> Fraction:
@@ -116,21 +113,19 @@ class ProbabilityMeasure:
         return zip(self.space.states, self.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class MassFunction:
+class MassFunction(_Value):
     """Exact positive masses on nonempty events, summing to one.
 
     Only nonzero entries are stored; the empty set never carries mass.
     Equality is structural: same space, same sparse entries.
     """
 
-    space: StateSpace
-    masses: Mapping[StateSet, Fraction]
+    __slots__ = _fields = ("space", "masses")
 
-    def __post_init__(self):
+    def __init__(self, space: StateSpace, masses: Mapping[StateSet, object]):
         entries = {}
-        for event, mass in self.masses.items():
-            if event.space != self.space:
+        for event, mass in masses.items():
+            if event.space != space:
                 raise ModelError("mass entry is over a different state space")
             mass = _as_fraction(mass)
             if mass < 0:
@@ -143,17 +138,13 @@ class MassFunction:
         total = sum(entries.values(), Fraction(0))
         if total != 1:
             raise ModelError(f"masses must sum to 1, got {total}")
-        object.__setattr__(self, "masses", MappingProxyType(entries))
+        _set(self, "space", space)
+        _set(self, "masses", MappingProxyType(entries))
 
     @classmethod
     def vacuous(cls, space: StateSpace) -> MassFunction:
         """All mass on the full space: total ignorance."""
         return cls(space, {space.full(): Fraction(1)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MassFunction):
-            return NotImplemented
-        return self.space == other.space and self.masses == other.masses
 
     def of(self, event: StateSet) -> Fraction:
         return self.masses.get(event, Fraction(0))

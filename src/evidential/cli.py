@@ -23,12 +23,7 @@ from .belief import (
     pointwise_condition,
 )
 from .document import ModelDocument, load_document
-from .errors import (
-    EvidentialError,
-    ModelError,
-    TotalConflictError,
-    UndefinedConditioningError,
-)
+from .errors import EvidentialError, ModelError, TotalConflictError, UndefinedConditioningError, _shown
 from .formula import EXTENDED, STRICT, parse
 from .model import StateSet
 from .semantics import interpret, truth_set
@@ -69,7 +64,7 @@ def _parse_event(document: ModelDocument, text: str, mode: str) -> StateSet:
     stripped = text.strip()
     if stripped.startswith("{"):
         if not stripped.endswith("}"):
-            raise ModelError(f"unterminated state set literal: {text!r}")
+            raise ModelError(f"unterminated state set literal: {_shown(text)}")
         body = stripped[1:-1].strip()
         names = [n.strip() for n in body.split(",")] if body else []
         return document.model.space.subset(names)

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ModelError, UnknownStateError
+from .errors import ModelError, UnknownStateError, _set, _Value, _shown
 from .model import Model, StateSpace, VariableValuation
 from .belief import ProbabilityMeasure
 
@@ -37,55 +36,68 @@ __all__ = ["ModelDocument", "parse_document", "load_document"]
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(_Value):
     """A parsed model file: the model plus its named measures."""
 
-    model: Model
-    measures: dict[str, ProbabilityMeasure]
+    __slots__ = _fields = ("model", "measures")
+
+    def __init__(self, model: Model, measures: dict[str, ProbabilityMeasure]):
+        _set(self, "model", model)
+        _set(self, "measures", measures)
 
     def measure(self, name: str) -> ProbabilityMeasure:
         try:
             return self.measures[name]
         except KeyError:
-            raise ModelError(f"unknown measure: {name!r}") from None
+            raise ModelError(f"unknown measure: {_shown(name)}") from None
 
 
-def _parse_rational(text: object, context: str) -> Fraction:
+def _parse_rational(text: object) -> Fraction:
     match = _RATIONAL.match(text) if isinstance(text, str) else None
     if match is None:
-        raise ModelError(f"{context}: expected a rational string like '3/10' or '1', got {text!r}")
+        raise ModelError(f"expected a rational string like '3/10' or '1', got {_shown(text)}")
     try:
         numerator, denominator = map(int, match.groups("1"))
     except ValueError:  # a numeral beyond the interpreter's int-digit limit
-        raise ModelError(f"{context}: numeral exceeds the integer digit limit") from None
+        raise ModelError("numeral exceeds the integer digit limit") from None
     if denominator == 0:
-        raise ModelError(f"{context}: zero denominator in {text!r}")
+        raise ModelError(f"zero denominator in {_shown(text)}")
     return Fraction(numerator, denominator)
 
 
 def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> VariableValuation:
     if not isinstance(raw, dict):
-        raise ModelError(f"atom {atom!r}: interpretation must be an object")
+        raise ModelError(f"atom {_shown(atom)}: interpretation must be an object")
     if "*" in raw:
         if len(raw) != 1:
-            raise ModelError(f"atom {atom!r}: '*' shorthand cannot be mixed with per-state entries")
-        return VariableValuation.constant(space, _parse_members(space, atom, raw["*"]))
+            raise ModelError(f"atom {_shown(atom)}: '*' shorthand cannot be mixed with per-state entries")
+        return VariableValuation.constant(space, _parse_members(space, atom, raw["*"], {}))
     interp = {}
+    decoded: dict = {}  # an atom's readings are often a few events shared by many states
     for state, members in raw.items():
         if state not in space:
-            raise ModelError(f"atom {atom!r}: undeclared state {state!r}")
-        interp[state] = _parse_members(space, atom, members)
+            raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(state)}")
+        interp[state] = _parse_members(space, atom, members, decoded)
     return VariableValuation.from_mapping(space, interp)
 
 
-def _parse_members(space: StateSpace, atom: str, raw: object):
+def _parse_members(space: StateSpace, atom: str, raw: object, decoded: dict):
+    """Decode a member list, or find it in ``decoded``, where each list that
+    decoded is kept under its length and end names: a key of O(1) cost."""
     if not isinstance(raw, list):
-        raise ModelError(f"atom {atom!r}: interpretation values must be lists of states")
+        raise ModelError(f"atom {_shown(atom)}: interpretation values must be lists of states")
+    key = (len(raw), raw[0], raw[-1]) if raw else ()
     try:
-        return space.subset(raw)
-    except UnknownStateError as exc:
-        raise ModelError(f"atom {atom!r}: undeclared state {exc.name!r}") from None
+        seen, members = decoded.get(key, (None, None))
+    except TypeError:  # an unhashable name, which subset reports
+        seen = None
+    if seen != raw:
+        try:
+            members = space.subset(raw)
+        except UnknownStateError as exc:
+            raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(exc.name)}") from None
+        decoded[key] = raw, members
+    return members
 
 
 def parse_document(data: dict) -> ModelDocument:
@@ -94,7 +106,7 @@ def parse_document(data: dict) -> ModelDocument:
         raise ModelError("model document must be a JSON object")
     unknown = set(data) - {"states", "atoms", "measures"}
     if unknown:
-        raise ModelError(f"unknown document key: {sorted(unknown)[0]!r}")
+        raise ModelError(f"unknown document key: {_shown(sorted(unknown)[0])}")
     if "states" not in data or not isinstance(data["states"], list):
         raise ModelError("document must declare a 'states' list")
     space = StateSpace(tuple(data["states"]))
@@ -115,16 +127,19 @@ def parse_document(data: dict) -> ModelDocument:
         if not name:
             raise ModelError("measure names must be nonempty")
         if not isinstance(raw, dict):
-            raise ModelError(f"measure {name!r} must be an object")
+            raise ModelError(f"measure {_shown(name)} must be an object")
         weights = {}
         for state, value in raw.items():
             if state not in space:
-                raise ModelError(f"measure {name!r}: undeclared state {state!r}")
-            weights[state] = _parse_rational(value, f"measure {name!r}, state {state!r}")
+                raise ModelError(f"measure {_shown(name)}: undeclared state {_shown(state)}")
+            try:
+                weights[state] = _parse_rational(value)
+            except ModelError as exc:
+                raise ModelError(f"measure {_shown(name)}, state {_shown(state)}: {exc}") from None
         try:
             measures[name] = ProbabilityMeasure.from_weights(space, weights)
         except ModelError as exc:
-            raise ModelError(f"measure {name!r}: {exc}") from None
+            raise ModelError(f"measure {_shown(name)}: {exc}") from None
     return ModelDocument(model, measures)
 
 

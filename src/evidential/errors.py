@@ -1,4 +1,44 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the value classes, shared across the package."""
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` cut to 60 characters, so that a message stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+class _Value:
+    """An immutable value whose ``_fields``, set once in ``__init__``, decide
+    its equality, hash and ``repr``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set = object.__setattr__  # how a value class fills its fields in ``__init__``
 
 
 class EvidentialError(Exception):
@@ -13,7 +53,7 @@ class UnknownStateError(ModelError):
     """A state name, or a value standing for one, is not declared in the space."""
 
     def __init__(self, name: object):
-        super().__init__(f"unknown state: {name!r}")
+        super().__init__(f"unknown state: {_shown(name)}")
         self.name = name
 
 
@@ -21,7 +61,7 @@ class UnknownAtomError(EvidentialError):
     """A formula or query referenced an atom the model does not define."""
 
     def __init__(self, atom: str):
-        super().__init__(f"unknown atom: {atom!r}")
+        super().__init__(f"unknown atom: {_shown(atom)}")
         self.atom = atom
 
 

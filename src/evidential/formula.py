@@ -22,9 +22,8 @@ Two placement modes govern the entailment connective ``=>``:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError, NestedEntailmentError
+from .errors import FormulaSyntaxError, NestedEntailmentError, _set, _Value, _shown
 
 __all__ = [
     "Formula",
@@ -44,7 +43,7 @@ STRICT = "strict"
 EXTENDED = "extended"
 
 
-class Formula:
+class Formula(_Value):
     """Base class for formula AST nodes."""
 
     __slots__ = ()
@@ -53,47 +52,51 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
     """Material implication; an abbreviation for ``~left | right``."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Entails(Formula):
+class Entails(_Binary):
     """Meaning entailment: true where left's interpretation is contained in right's."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
 def check_mode(mode: str) -> None:
     if mode not in (STRICT, EXTENDED):
-        raise ValueError(f"mode must be {STRICT!r} or {EXTENDED!r}, got {mode!r}")
+        raise ValueError(f"mode must be {STRICT!r} or {EXTENDED!r}, got {_shown(mode)}")
 
 
 def contains_entailment(f: Formula) -> bool:
@@ -117,7 +120,7 @@ def _walk(f: Formula) -> tuple[int, int]:
                 continue
             if isinstance(g, Not):
                 below.append(g.operand)
-            elif isinstance(g, _CONNECTIVES):
+            elif isinstance(g, _Binary):
                 if isinstance(g, Entails):
                     entailments += 1
                 below += g.left, g.right
@@ -165,7 +168,6 @@ _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 # parentheses.  ``None`` is an open parenthesis on the parser's stack.
 _LEVEL = {None: 0, Entails: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6}
 _BINARY = {"entails": Entails, "implies": Implies, "or": Or, "and": And}
-_CONNECTIVES = tuple(_BINARY.values())
 _RIGHT_ASSOCIATIVE = (Entails, Implies)
 
 
@@ -197,7 +199,7 @@ def parse(text: str, mode: str = STRICT) -> Formula:
             elif kind == "end":
                 raise FormulaSyntaxError("unexpected end of input", position)
             else:
-                raise FormulaSyntaxError(f"unexpected {value!r}", position)
+                raise FormulaSyntaxError(f"unexpected {_shown(value)}", position)
             continue
         node = _BINARY.get(kind)
         # Join what binds tighter, and an equal left-associative operator.
@@ -219,9 +221,9 @@ def parse(text: str, mode: str = STRICT) -> Formula:
         elif kind == "end" and parens:
             raise FormulaSyntaxError("unexpected end of input (expected rparen)", position)
         elif parens:
-            raise FormulaSyntaxError(f"expected rparen, found {value!r}", position)
+            raise FormulaSyntaxError(f"expected rparen, found {_shown(value)}", position)
         elif kind != "end":
-            raise FormulaSyntaxError(f"unexpected {value!r} after formula", position)
+            raise FormulaSyntaxError(f"unexpected {_shown(value)} after formula", position)
     f = operands[0]
     # Every connective is a token, so only long text can nest too deep.
     if len(tokens) > MAX_NESTING and _walk(f)[0] > MAX_NESTING:

@@ -9,13 +9,11 @@ interpretation entails the truth of the proposition it interprets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ModelError, UnknownAtomError, UnknownStateError
+from .errors import ModelError, UnknownAtomError, UnknownStateError, _set, _Value, _shown
 
 __all__ = [
     "StateSpace",
@@ -26,38 +24,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Value):
     """An ordered, finite set of named states.
 
     Declaration order is canonical: it fixes each state's bit index and the
     order in which sets and measures are rendered.
     """
 
-    states: tuple[str, ...]
+    __slots__ = ("states", "_bit", "_hash")
+    _fields = ("states",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
+    def __init__(self, states: Iterable[str]):
+        states = tuple(states)
+        if not states:
             raise ModelError("state space must be nonempty")
         seen = set()
-        for name in self.states:
+        for name in states:
             if not isinstance(name, str) or not name:
-                raise ModelError(f"state names must be nonempty strings, got {name!r}")
+                raise ModelError(f"state names must be nonempty strings, got {_shown(name)}")
             if name in seen:
-                raise ModelError(f"duplicate state name: {name!r}")
+                raise ModelError(f"duplicate state name: {_shown(name)}")
             seen.add(name)
+        _set(self, "states", states)
         # Each state's bit, so that decoding a member list costs one lookup a name.
-        object.__setattr__(self, "_bit", {s: 1 << i for i, s in enumerate(self.states)})
+        _set(self, "_bit", {s: 1 << i for i, s in enumerate(states)})
         # Every StateSet hashes its space, so hash the names once.
-        object.__setattr__(self, "_hash", hash(self.states))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        return self.states == other.states
+        _set(self, "_hash", hash(states))
 
     def __hash__(self) -> int:
         return self._hash
@@ -110,20 +102,29 @@ class StateSpace:
 _DIGIT_TO_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(_Value):
     """A subset of a state space, stored as a bit vector over state indices.
 
     All set algebra is exact.  Comparison operators are the subset order,
     as with ``frozenset``.
     """
 
-    space: StateSpace
-    mask: int
+    __slots__ = _fields = ("space", "mask")
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << len(self.space)):
-            raise ModelError(f"set mask {self.mask} out of range for {len(self.space)} states")
+    def __init__(self, space: StateSpace, mask: int):
+        if not 0 <= mask < (1 << len(space.states)):
+            raise ModelError(f"set mask {mask} out of range for {len(space)} states")
+        _set(self, "space", space)
+        _set(self, "mask", mask)
+
+    # Written out, not field-driven: a StateSet is the hot dict key.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and (self.space is other.space or self.space == other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.space._hash, self.mask))
 
     def _check_space(self, other: StateSet) -> None:
         if self.space is not other.space and self.space != other.space:
@@ -175,14 +176,10 @@ class StateSet:
         return self <= other and self.mask != other.mask
 
     def __ge__(self, other: StateSet) -> bool:
-        self._check_space(other)
         return other <= self
 
     def __gt__(self, other: StateSet) -> bool:
         return other < self
-
-    def issubset(self, other: StateSet) -> bool:
-        return self <= other
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)
@@ -191,25 +188,25 @@ class StateSet:
         return "{" + ",".join(self) + "}"
 
 
-@dataclass(frozen=True)
-class VariableValuation:
+class VariableValuation(_Value):
     """A total map from states to events: each state's correct interpretation.
 
     ``sets[i]`` is the interpretation at the state with index ``i``.
     """
 
-    space: StateSpace
-    sets: tuple[StateSet, ...]
+    __slots__ = ("space", "sets", "_truth_mask")
+    _fields = ("space", "sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if len(self.sets) != len(self.space):
-            raise ModelError(
-                f"valuation must cover all {len(self.space)} states, got {len(self.sets)}"
-            )
-        for s in self.sets:
-            if s.space != self.space:
+    def __init__(self, space: StateSpace, sets: Iterable[StateSet]):
+        sets = tuple(sets)
+        if len(sets) != len(space):
+            raise ModelError(f"valuation must cover all {len(space)} states, got {len(sets)}")
+        for s in sets:
+            if s.space is not space and s.space != space:
                 raise ModelError("valuation contains a set over a different state space")
+        _set(self, "space", space)
+        _set(self, "sets", sets)
+        _set(self, "_truth_mask", None)
 
     @classmethod
     def from_mapping(cls, space: StateSpace, interp: Mapping[str, Iterable[str]]) -> VariableValuation:
@@ -219,7 +216,7 @@ class VariableValuation:
         sets = []
         for name in space.states:
             if name not in interp:
-                raise ModelError(f"valuation missing interpretation for state {name!r}")
+                raise ModelError(f"valuation missing interpretation for state {_shown(name)}")
             value = interp[name]
             sets.append(value if isinstance(value, StateSet) else space.subset(value))
         return cls(space, tuple(sets))
@@ -241,13 +238,12 @@ class VariableValuation:
     def is_constant(self) -> bool:
         return all(s == self.sets[0] for s in self.sets)
 
-    @cached_property
+    @property
     def truth_mask(self) -> int:
         """The bit mask of :meth:`truth_set`, computed once per valuation."""
-        mask = 0
-        for i, s in enumerate(self.sets):
-            mask |= s.mask & (1 << i)
-        return mask
+        if self._truth_mask is None:
+            _set(self, "_truth_mask", sum(s.mask & 1 << i for i, s in enumerate(self.sets)))
+        return self._truth_mask
 
     def truth_set(self) -> StateSet:
         """The states whose own interpretation contains them."""
@@ -277,9 +273,9 @@ class Model:
     def __init__(self, space: StateSpace, atoms: Mapping[str, VariableValuation]):
         for name, valuation in atoms.items():
             if not isinstance(name, str) or not name:
-                raise ModelError(f"atom names must be nonempty strings, got {name!r}")
+                raise ModelError(f"atom names must be nonempty strings, got {_shown(name)}")
             if valuation.space != space:
-                raise ModelError(f"valuation for atom {name!r} is over a different state space")
+                raise ModelError(f"valuation for atom {_shown(name)} is over a different state space")
         self._space = space
         self._atoms = dict(atoms)
 

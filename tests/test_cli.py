@@ -234,6 +234,30 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: invalid JSON in model document {str(path)!r}: nested too deeply\n"
 
+    def test_long_values_are_cut_in_error_lines(self, capsys, tmp_path):
+        nested = "[" * 500 + ", ".join(['"s"'] * 20_000) + "]" * 500
+        documents = [
+            (json.dumps({"states": ["a"], "atoms": {"p": {"*": ["x" * 1_000_000]}}}),
+             f"error: atom 'p': undeclared state '{'x' * 56}...\n"),
+            ('{"states": ["a", %s]}' % nested,
+             f"error: state names must be nonempty strings, got {'[' * 57}...\n"),
+        ]
+        for text, message in documents:
+            path = tmp_path / "model.json"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = invoke(capsys, "check", str(path))
+            assert (code, out, err) == (2, "", message)
+            assert len(err.encode()) < 300
+        code, out, err = invoke(capsys, "truth-set", "coinflip", "h " + "y" * 100_000)
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected '{'y' * 56}... after formula (at position 3)\n"
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        code = "import sys, evidential.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=subprocess_env(), check=True)
+        assert result.stdout == "[]\n"
+
     def test_closed_stdout_is_quiet_success(self, tmp_path):
         # Output far beyond a pipe buffer, so the reader closes mid-write.
         states = [f"s{i}" for i in range(300)]

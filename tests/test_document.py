@@ -95,6 +95,46 @@ class TestParseDocument:
             assert parsed == {state: frozenset(members) for state, members in interp.items()}
         assert doc.measure("w").weights == tuple(prior)
 
+    def test_lists_with_the_same_length_and_ends_decode_apart(self):
+        states = ["a", "b", "c", "d"]
+        readings = [["a", "b", "d"], ["a", "c", "d"], ["a", "b", "d"], ["a", "c", "d"]]
+        doc = parse_document({"states": states, "atoms": {"p": dict(zip(states, readings))}})
+        sets = doc.model.valuation("p").sets
+        assert [s.names() for s in sets] == [("a", "b", "d"), ("a", "c", "d")] * 2
+        assert sets[0] != sets[1]
+
+    def test_repeated_lists_decode_like_frozensets(self):
+        rng = random.Random(20261018)
+        states = [f"s{i}" for i in range(200)]
+        atoms = {}
+        for atom, pool in (("p", 3), ("q", 12), ("r", 200)):
+            events = [rng.sample(states, rng.randrange(0, 9)) for _ in range(pool)]
+            # Each state gets its own copy, in a shuffled order, of a pooled reading.
+            atoms[atom] = {state: rng.sample(event, len(event))
+                           for state, event in zip(states, rng.choices(events, k=len(states)))}
+        doc = parse_document({"states": states, "atoms": atoms})
+        for atom, interp in atoms.items():
+            parsed = {state: frozenset(value) for state, value in doc.model.valuation(atom).items()}
+            assert parsed == {state: frozenset(members) for state, members in interp.items()}
+
+    @pytest.mark.parametrize("atoms, message", [
+        # A list that repeats an earlier one's length and ends, with a stranger inside.
+        ({"p": {"a": ["a", "c", "b"], "b": ["a", "z", "b"], "c": ["a", "y", "b"]}},
+         "atom 'p': undeclared state 'z'"),
+        # The same bad list at two states: the first one is named.
+        ({"p": {"a": ["a"], "b": ["a", "z"], "c": ["a", "z"]}}, "atom 'p': undeclared state 'z'"),
+        ({"p": {"a": ["a", "b"], "b": ["a", ["x"], "b"], "c": ["a", "b"]}},
+         "atom 'p': undeclared state ['x']"),
+        ({"p": {"a": [{"x": 1}], "b": [{"x": 1}], "c": []}}, "atom 'p': undeclared state {'x': 1}"),
+        # The first atom in document order is named, not the first to repeat a list.
+        ({"p": {"a": ["a"], "b": ["b"], "c": ["c", ["w"]]},
+          "q": {"a": ["a", "b"], "b": ["a", "b"], "c": ["a", "x", "b"]}},
+         "atom 'p': undeclared state ['w']"),
+    ])
+    def test_bad_members_in_repeated_lists_raise_the_first_error(self, atoms, message):
+        with pytest.raises(ModelError, match=exactly(message)):
+            parse_document({"states": ["a", "b", "c"], "atoms": atoms})
+
 
 class TestDocumentRejections:
     def test_undeclared_state_in_interpretation_named(self):
