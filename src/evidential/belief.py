@@ -75,12 +75,8 @@ class ProbabilityMeasure(_Value):
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
         """Build a measure from a state-name to rational mapping; must be total."""
-        for name in weights:
-            space.index(name)
-        missing = [name for name in space.states if name not in weights]
-        if missing:
-            raise ModelError(f"measure missing weight for state {_shown(missing[0])}")
-        return cls(space, tuple(weights[name] for name in space.states))
+        return cls(space, space.table(weights, lambda state, weight: weight,
+                                      "measure missing weight for state "))
 
     def of(self, event: StateSet) -> Fraction:
         """The probability of an event: the sum of its states' weights."""
@@ -182,11 +178,14 @@ def _meaning_weights(
     model: Model, measure: ProbabilityMeasure, evidence: Formula, mode: str, states: StateSet
 ) -> dict[StateSet, Fraction]:
     """The prior weight of ``states``, grouped by the evidence's meaning at each."""
+    if measure.space != model.space:
+        raise ModelError("measure is over a different state space")
     meaning = interpreter(model, evidence, mode)
+    weights = measure.weights
     groups: dict[StateSet, Fraction] = {}
-    for i, name in zip(states.indices(), states):
+    for i in states.indices():
         value = meaning(i)
-        groups[value] = groups.get(value, 0) + measure.of_state(name)
+        groups[value] = groups.get(value, 0) + weights[i]
     return groups
 
 

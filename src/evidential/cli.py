@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import fixtures
 from .belief import (
@@ -50,12 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_document(ref: str) -> ModelDocument:
-    path = Path(ref)
-    if path.exists():
-        return load_document(path)
+    if os.path.exists(ref):  # False, not OSError, for a name past the file-name limit
+        return load_document(ref)
     if ref in fixtures.FIXTURE_NAMES:
         return getattr(fixtures, ref)()
-    raise ModelError(f"model {ref!r} is neither a file nor a bundled fixture")
+    raise ModelError(f"model {_shown(ref)} is neither a file nor a bundled fixture")
 
 
 def _parse_event(document: ModelDocument, text: str, mode: str) -> StateSet:
@@ -96,7 +94,21 @@ def _emit_mass(out: _Output, mass: MassFunction) -> None:
         out.entry("mass", str(event), weight)
 
 
-def _cmd_check(args, document: ModelDocument, out: _Output) -> int:
+def _decode_arguments(args, document: ModelDocument) -> None:
+    """Replace the measure name, then each formula, then each event argument
+    by its value, so that every handler gets them decoded and in one order."""
+    given = vars(args)
+    if "measure" in given:
+        given["measure"] = document.measure(given["measure"])
+    for key in ("formula", "of", "given", "evidence", "e1", "e2"):
+        if given.get(key) is not None:
+            given[key] = parse(given[key], args.mode)
+    for key in ("event", "on"):
+        if given.get(key) is not None:
+            given[key] = _parse_event(document, given[key], args.mode)
+
+
+def _cmd_check(args, document: ModelDocument, out: _Output) -> None:
     model = document.model
     if out.machine:
         out.value("states", len(model.space))
@@ -109,85 +121,59 @@ def _cmd_check(args, document: ModelDocument, out: _Output) -> int:
                              f"{len(document.measures)} measures")
         for atom in model.atoms:
             out.entry("coherent", f"atom {atom}", "coherent" if model.is_coherent(atom) else "incoherent")
-    return EXIT_OK
 
 
-def _cmd_truth_set(args, document: ModelDocument, out: _Output) -> int:
-    f = parse(args.formula, args.mode)
-    out.value("truth_set", truth_set(document.model, f, args.mode))
-    return EXIT_OK
+def _cmd_truth_set(args, document: ModelDocument, out: _Output) -> None:
+    out.value("truth_set", truth_set(document.model, args.formula, args.mode))
 
 
-def _cmd_interpret(args, document: ModelDocument, out: _Output) -> int:
-    f = parse(args.formula, args.mode)
-    out.value("interpretation", interpret(document.model, f, args.state, args.mode))
-    return EXIT_OK
+def _cmd_interpret(args, document: ModelDocument, out: _Output) -> None:
+    out.value("interpretation", interpret(document.model, args.formula, args.state, args.mode))
 
 
-def _cmd_cohere(args, document: ModelDocument, out: _Output) -> int:
+def _cmd_cohere(args, document: ModelDocument, out: _Output) -> None:
     closure = document.model.coherence_closure(args.atom)
     for state, value in closure.items():
         out.entry("closure", state, value)
-    return EXIT_OK
 
 
-def _cmd_condition(args, document: ModelDocument, out: _Output) -> int:
-    measure = document.measure(args.measure)
-    if args.on is not None:
-        measure = measure.condition(_parse_event(document, args.on, args.mode))
+def _cmd_condition(args, document: ModelDocument, out: _Output) -> None:
+    measure = args.measure if args.on is None else args.measure.condition(args.on)
     for state, weight in measure.items():
         out.entry("weight", state, weight)
-    return EXIT_OK
 
 
-def _cmd_bel(args, document: ModelDocument, out: _Output) -> int:
-    evidence = parse(args.evidence, args.mode)
-    event = _parse_event(document, args.event, args.mode)
-    out.value("bel", bel(document.model, document.measure(args.measure), evidence, event, args.mode))
-    return EXIT_OK
+def _cmd_bel(args, document: ModelDocument, out: _Output) -> None:
+    out.value("bel", bel(document.model, args.measure, args.evidence, args.event, args.mode))
 
 
-def _cmd_degree(args, document: ModelDocument, out: _Output) -> int:
-    measure = document.measure(args.measure)
-    of = parse(args.of, args.mode)
+def _cmd_degree(args, document: ModelDocument, out: _Output) -> None:
     if args.given is None:
-        result = degree(document.model, measure, of, args.mode)
+        result = degree(document.model, args.measure, args.of, args.mode)
     else:
-        result = degree_given(document.model, measure, of, parse(args.given, args.mode), args.mode)
+        result = degree_given(document.model, args.measure, args.of, args.given, args.mode)
     out.value("degree", result)
-    return EXIT_OK
 
 
-def _cmd_mass(args, document: ModelDocument, out: _Output) -> int:
-    evidence = parse(args.evidence, args.mode)
-    mass = mass_from_evidence(document.model, document.measure(args.measure), evidence, args.mode)
-    _emit_mass(out, mass)
-    return EXIT_OK
+def _cmd_mass(args, document: ModelDocument, out: _Output) -> None:
+    _emit_mass(out, mass_from_evidence(document.model, args.measure, args.evidence, args.mode))
 
 
-def _cmd_combine(args, document: ModelDocument, out: _Output) -> int:
-    measure = document.measure(args.measure)
-    e1 = parse(args.e1, args.mode)
-    e2 = parse(args.e2, args.mode)
+def _cmd_combine(args, document: ModelDocument, out: _Output) -> None:
     if args.rule == "dempster":
         mass = dempster_combine(
-            mass_from_evidence(document.model, measure, e1, args.mode),
-            mass_from_evidence(document.model, measure, e2, args.mode),
+            mass_from_evidence(document.model, args.measure, args.e1, args.mode),
+            mass_from_evidence(document.model, args.measure, args.e2, args.mode),
         )
     else:
-        mass = pointwise_combine(document.model, measure, e1, e2, args.mode)
+        mass = pointwise_combine(document.model, args.measure, args.e1, args.e2, args.mode)
     _emit_mass(out, mass)
-    return EXIT_OK
 
 
-def _cmd_pointwise_condition(args, document: ModelDocument, out: _Output) -> int:
-    measure = document.measure(args.measure)
-    of = parse(args.of, args.mode)
-    evidence = parse(args.evidence, args.mode)
-    result = pointwise_condition(document.model, measure, of, evidence, args.mode)
+def _cmd_pointwise_condition(args, document: ModelDocument, out: _Output) -> None:
+    result = pointwise_condition(document.model, args.measure, args.of, args.evidence, args.mode)
     out.value("exploratory", "true" if out.machine else EXPLORATORY_BANNER)
     out.value("pointwise_condition", result)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,10 +250,11 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         document = _resolve_document(args.model)
+        _decode_arguments(args, document)
         out = _Output(machine=args.format == "machine")
-        code = args.handler(args, document, out)
+        args.handler(args, document, out)
         sys.stdout.write(out.render())
-        return code
+        return EXIT_OK
     except (UndefinedConditioningError, TotalConflictError) as exc:
         print(f"undefined: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .errors import ModelError, UnknownStateError, _set, _Value, _shown
@@ -52,33 +53,37 @@ class ModelDocument(_Value):
             raise ModelError(f"unknown measure: {_shown(name)}") from None
 
 
-def _parse_rational(text: object) -> Fraction:
+def _parse_rational(where: str, state: str, text: object) -> Fraction:
     match = _RATIONAL.match(text) if isinstance(text, str) else None
     if match is None:
-        raise ModelError(f"expected a rational string like '3/10' or '1', got {_shown(text)}")
-    try:
-        numerator, denominator = map(int, match.groups("1"))
-    except ValueError:  # a numeral beyond the interpreter's int-digit limit
-        raise ModelError("numeral exceeds the integer digit limit") from None
-    if denominator == 0:
-        raise ModelError(f"zero denominator in {_shown(text)}")
-    return Fraction(numerator, denominator)
+        reason = f"expected a rational string like '3/10' or '1', got {_shown(text)}"
+    else:
+        try:
+            numerator, denominator = map(int, match.groups("1"))
+        except ValueError:  # a numeral beyond the interpreter's int-digit limit
+            reason = "numeral exceeds the integer digit limit"
+        else:
+            if denominator:
+                return Fraction(numerator, denominator)
+            reason = f"zero denominator in {_shown(text)}"
+    raise ModelError(f"{where}, state {_shown(state)}: {reason}")
 
 
 def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> VariableValuation:
+    where = f"atom {_shown(atom)}"
     if not isinstance(raw, dict):
-        raise ModelError(f"atom {_shown(atom)}: interpretation must be an object")
+        raise ModelError(f"{where}: interpretation must be an object")
     if "*" in raw:
         if len(raw) != 1:
-            raise ModelError(f"atom {_shown(atom)}: '*' shorthand cannot be mixed with per-state entries")
+            raise ModelError(f"{where}: '*' shorthand cannot be mixed with per-state entries")
         return VariableValuation.constant(space, _parse_members(space, atom, raw["*"], {}))
-    interp = {}
     decoded: dict = {}  # an atom's readings are often a few events shared by many states
-    for state, members in raw.items():
-        if state not in space:
-            raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(state)}")
-        interp[state] = _parse_members(space, atom, members, decoded)
-    return VariableValuation.from_mapping(space, interp)
+    try:
+        sets = space.table(raw, lambda state, members: _parse_members(space, atom, members, decoded),
+                           f"{where}: valuation missing interpretation for state ")
+    except UnknownStateError as exc:
+        raise ModelError(f"{where}: undeclared state {_shown(exc.name)}") from None
+    return VariableValuation(space, sets)
 
 
 def _parse_members(space: StateSpace, atom: str, raw: object, decoded: dict):
@@ -126,20 +131,18 @@ def parse_document(data: dict) -> ModelDocument:
     for name, raw in raw_measures.items():
         if not name:
             raise ModelError("measure names must be nonempty")
+        where = f"measure {_shown(name)}"
         if not isinstance(raw, dict):
-            raise ModelError(f"measure {_shown(name)} must be an object")
-        weights = {}
-        for state, value in raw.items():
-            if state not in space:
-                raise ModelError(f"measure {_shown(name)}: undeclared state {_shown(state)}")
-            try:
-                weights[state] = _parse_rational(value)
-            except ModelError as exc:
-                raise ModelError(f"measure {_shown(name)}, state {_shown(state)}: {exc}") from None
+            raise ModelError(f"{where} must be an object")
         try:
-            measures[name] = ProbabilityMeasure.from_weights(space, weights)
+            weights = space.table(raw, partial(_parse_rational, where),
+                                  f"{where}: measure missing weight for state ")
+        except UnknownStateError as exc:
+            raise ModelError(f"{where}: undeclared state {_shown(exc.name)}") from None
+        try:
+            measures[name] = ProbabilityMeasure(space, weights)
         except ModelError as exc:
-            raise ModelError(f"measure {_shown(name)}: {exc}") from None
+            raise ModelError(f"{where}: {exc}") from None
     return ModelDocument(model, measures)
 
 

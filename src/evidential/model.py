@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ModelError, UnknownAtomError, UnknownStateError, _set, _Value, _shown
 
@@ -38,16 +38,16 @@ class StateSpace(_Value):
         states = tuple(states)
         if not states:
             raise ModelError("state space must be nonempty")
-        seen = set()
+        # Each state's bit, so that decoding a member list costs one lookup a name.
+        bit = {}
         for name in states:
             if not isinstance(name, str) or not name:
                 raise ModelError(f"state names must be nonempty strings, got {_shown(name)}")
-            if name in seen:
+            if name in bit:
                 raise ModelError(f"duplicate state name: {_shown(name)}")
-            seen.add(name)
+            bit[name] = 1 << len(bit)
         _set(self, "states", states)
-        # Each state's bit, so that decoding a member list costs one lookup a name.
-        _set(self, "_bit", {s: 1 << i for i, s in enumerate(states)})
+        _set(self, "_bit", bit)
         # Every StateSet hashes its space, so hash the names once.
         _set(self, "_hash", hash(states))
 
@@ -60,14 +60,24 @@ class StateSpace(_Value):
     def __iter__(self) -> Iterator[str]:
         return iter(self.states)
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._bit
-
     def index(self, name: str) -> int:
         try:
             return self._bit[name].bit_length() - 1
         except KeyError:
             raise UnknownStateError(name) from None
+
+    def table(self, entries: Mapping, decode: Callable[[str, object], object], missing: str) -> tuple:
+        """Decode a state-keyed table into state order: each key is checked, in
+        table order, before ``decode(key, value)`` runs; then the first state
+        without an entry raises ``missing`` followed by its name."""
+        decoded = {}
+        for key, value in entries.items():
+            if key not in self._bit:
+                raise UnknownStateError(key)
+            decoded[key] = decode(key, value)
+        if len(decoded) < len(self.states):
+            raise ModelError(missing + _shown(next(s for s in self.states if s not in decoded)))
+        return tuple(map(decoded.__getitem__, self.states))
 
     def subset(self, names: Iterable[object]) -> StateSet:
         """The event containing exactly the given states.
@@ -211,15 +221,8 @@ class VariableValuation(_Value):
     @classmethod
     def from_mapping(cls, space: StateSpace, interp: Mapping[str, Iterable[str]]) -> VariableValuation:
         """Build a valuation from state name to member-name lists; must be total."""
-        for name in interp:
-            space.index(name)
-        sets = []
-        for name in space.states:
-            if name not in interp:
-                raise ModelError(f"valuation missing interpretation for state {_shown(name)}")
-            value = interp[name]
-            sets.append(value if isinstance(value, StateSet) else space.subset(value))
-        return cls(space, tuple(sets))
+        return cls(space, space.table(interp, lambda state, members: space.subset(members),
+                                      "valuation missing interpretation for state "))
 
     @classmethod
     def constant(cls, space: StateSpace, value: StateSet) -> VariableValuation:
@@ -227,10 +230,6 @@ class VariableValuation(_Value):
         if value.space != space:
             raise ModelError("constant value is over a different state space")
         return cls(space, (value,) * len(space))
-
-    def at(self, state: str) -> StateSet:
-        """The interpretation at the named state."""
-        return self.sets[self.space.index(state)]
 
     def items(self) -> Iterator[tuple[str, StateSet]]:
         return zip(self.space.states, self.sets)

@@ -409,6 +409,12 @@ class TestPointwiseConditioning:
         with pytest.raises(UndefinedConditioningError):
             pointwise_condition(model, measure, Atom("f"), Atom("e"))
 
+    def test_measure_over_another_space_rejected(self, coinflip):
+        space = StateSpace(coinflip.model.space.states[:2])
+        measure = ProbabilityMeasure(space, (Fraction(1), Fraction(0)))
+        with pytest.raises(ModelError, match="^measure is over a different state space$"):
+            pointwise_condition(coinflip.model, measure, H, PBAR)
+
 
 class TestBeliefProperties:
     @given(gens.spaces(), st.data())

@@ -166,6 +166,13 @@ class TestModelResolution:
         assert code == 2
         assert "not-a-fixture" in err
 
+    @pytest.mark.parametrize("ref", ["a" * 5000, "n" * 200], ids=["past-the-file-name-limit", "long"])
+    def test_long_reference_is_one_short_error_line(self, capsys, ref):
+        code, out, err = invoke(capsys, "check", ref)
+        assert (code, out) == (2, "")
+        assert err == f"error: model '{ref[:56]}... is neither a file nor a bundled fixture\n"
+        assert len(err.encode()) < 120
+
 
 class TestExitCodes:
     def test_validation_error_names_state(self, capsys, tmp_path):
@@ -175,6 +182,25 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "check", path)
         assert code == 2
         assert "H-zz" in err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"states": ["a", "b"], "atoms": {"p": {"a": ["a"]}}},
+         "atom 'p': valuation missing interpretation for state 'b'"),
+        ({"states": ["a", "b"], "measures": {"u": {"a": "1"}}},
+         "measure 'u': measure missing weight for state 'b'"),
+    ], ids=["atom", "measure"])
+    def test_missing_state_names_its_table(self, capsys, tmp_path, data, message):
+        code, out, err = invoke(capsys, "check", write_model(tmp_path, data))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["bel", "--evidence", "pbar &", "--event", "h"],
+        ["bel", "--evidence", "pbar", "--event", "{H-acc"],
+        ["mass", "--evidence", "pbar &"],
+    ], ids=["bel-formula", "bel-event", "mass"])
+    def test_an_unknown_measure_is_reported_before_a_bad_formula_or_event(self, capsys, argv):
+        code, out, err = invoke(capsys, argv[0], "coinflip", "--measure", "zz", *argv[1:])
+        assert (code, out, err) == (2, "", "error: unknown measure: 'zz'\n")
 
     def test_unhashable_member_names_itself(self, capsys, tmp_path):
         data = json.loads(open_fixture())

@@ -137,6 +137,42 @@ class TestParseDocument:
 
 
 class TestDocumentRejections:
+    @pytest.mark.parametrize("data, message", [
+        ([], "model document must be a JSON object"),
+        ({"states": ["a"], "atoms": []}, "'atoms' must be an object"),
+        ({"states": ["a"], "measures": []}, "'measures' must be an object"),
+        ({"states": ["a"], "measures": {"": {"a": "1"}}}, "measure names must be nonempty"),
+        ({"states": ["a"], "measures": {"u": ["1"]}}, "measure 'u' must be an object"),
+        ({"states": ["a"], "atoms": {"p": ["a"]}}, "atom 'p': interpretation must be an object"),
+        ({"states": ["a"], "atoms": {"p": {"a": "a"}}},
+         "atom 'p': interpretation values must be lists of states"),
+    ], ids=["document", "atoms", "measures", "measure-name", "measure", "interpretation", "members"])
+    def test_wrong_shapes_rejected(self, data, message):
+        with pytest.raises(ModelError, match=exactly(message)):
+            parse_document(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"states": ["a", "b"], "atoms": {"p": {"a": ["a"]}}},
+         "atom 'p': valuation missing interpretation for state 'b'"),
+        ({"states": ["a", "b"], "measures": {"u": {"a": "1"}}},
+         "measure 'u': measure missing weight for state 'b'"),
+        # Entries are checked in document order, each key before its value.
+        ({"states": ["a", "b"], "atoms": {"p": {"a": ["zz"], "ghost": []}}},
+         "atom 'p': undeclared state 'zz'"),
+        ({"states": ["a", "b"], "atoms": {"p": {"ghost": ["zz"], "a": []}}},
+         "atom 'p': undeclared state 'ghost'"),
+        ({"states": ["a", "b"], "atoms": {"p": {"b": ["zz"]}}}, "atom 'p': undeclared state 'zz'"),
+        ({"states": ["a", "b"], "measures": {"u": {"a": "1/0", "ghost": "1"}}},
+         "measure 'u', state 'a': zero denominator in '1/0'"),
+        ({"states": ["a", "b"], "measures": {"u": {"ghost": "1/0"}}}, "measure 'u': undeclared state 'ghost'"),
+        ({"states": ["a", "b"], "measures": {"u": {"b": "x"}}},
+         "measure 'u', state 'b': expected a rational string like '3/10' or '1', got 'x'"),
+    ], ids=["atom-missing", "measure-missing", "member-before-key", "key-before-member",
+            "member-before-missing", "weight-before-key", "key-before-weight", "weight-before-missing"])
+    def test_first_fault_in_a_table_is_named_with_its_table(self, data, message):
+        with pytest.raises(ModelError, match=exactly(message)):
+            parse_document(data)
+
     def test_undeclared_state_in_interpretation_named(self):
         data = minimal_document()
         data["atoms"]["p"]["a"] = ["a", "ghost"]

@@ -1,6 +1,7 @@
 """State spaces, bit-vector events, valuations, coherence."""
 
 import operator
+import re
 
 import pytest
 from hypothesis import given
@@ -15,9 +16,14 @@ from evidential import (
     VariableValuation,
     lift_event,
 )
+from evidential.errors import UnknownStateError
 
 import gens
 import oracles
+
+
+def exactly(message):
+    return "^" + re.escape(message) + "$"
 
 
 class TestStateSpace:
@@ -34,6 +40,15 @@ class TestStateSpace:
     def test_rejects_duplicates(self):
         with pytest.raises(ModelError, match="duplicate"):
             StateSpace(("a", "b", "a"))
+
+    @pytest.mark.parametrize("states, message", [
+        (("a", "a", 3), "duplicate state name: 'a'"),
+        ((3, "a", "a"), "state names must be nonempty strings, got 3"),
+        (("a", "", "a"), "state names must be nonempty strings, got ''"),
+    ])
+    def test_first_bad_name_is_reported(self, states, message):
+        with pytest.raises(ModelError, match=exactly(message)):
+            StateSpace(states)
 
     def test_rejects_unknown_state_lookup(self):
         with pytest.raises(ModelError, match="'z'"):
@@ -142,6 +157,34 @@ class TestValuation:
         space = StateSpace(("a", "b"))
         with pytest.raises(ModelError, match="'z'"):
             VariableValuation.from_mapping(space, {"a": ["a"], "b": ["a"], "z": []})
+
+    def test_mapping_faults_are_found_in_table_order(self):
+        space = StateSpace(("a", "b"))
+        with pytest.raises(UnknownStateError, match=exactly("unknown state: 'y'")):
+            VariableValuation.from_mapping(space, {"b": ["y"], "z": []})
+        with pytest.raises(UnknownStateError, match=exactly("unknown state: 'z'")):
+            VariableValuation.from_mapping(space, {"z": ["y"], "a": []})
+        with pytest.raises(ModelError, match=exactly("valuation missing interpretation for state 'a'")):
+            VariableValuation.from_mapping(space, {"b": ["a"]})
+
+    def test_state_set_values_are_decoded_by_their_names(self):
+        space = StateSpace(("a", "b"))
+        twin = StateSpace(("b", "a"))
+        valuation = VariableValuation.from_mapping(space, {"a": space.full(), "b": twin.subset(["a"])})
+        assert valuation.sets == (space.full(), space.subset(["a"]))
+
+    def test_table_decodes_in_state_order(self):
+        space = StateSpace(("a", "b", "c"))
+        seen = []
+
+        def decode(state, value):
+            seen.append(state)
+            return value * 2
+
+        assert space.table({"c": 3, "a": 1, "b": 2}, decode, "missing ") == (2, 4, 6)
+        assert seen == ["c", "a", "b"]
+        with pytest.raises(ModelError, match=exactly("missing 'b'")):
+            space.table({"c": 3, "a": 1}, decode, "missing ")
 
     def test_constant_detection(self):
         space = StateSpace(("a", "b"))
