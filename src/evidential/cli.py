@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 undefined operation
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -83,8 +84,15 @@ class _Output:
         self.lines.append((f"{key}[{label}]=" if self.machine else f"{label}: ", value))
 
     def render(self) -> str:
+        texts: dict = {}  # each distinct (type, value) once: a closure repeats a few sets
+        rendered = []
         try:
-            return "".join(f"{prefix}{value}\n" for prefix, value in self.lines)
+            for prefix, value in self.lines:
+                key = value.__class__, value
+                if key not in texts:
+                    texts[key] = f"{value}"
+                rendered.append(f"{prefix}{texts[key]}\n")
+            return "".join(rendered)
         except ValueError:  # a numeral beyond the interpreter's int-digit limit
             raise EvidentialError("result numeral exceeds the integer digit limit") from None
 
@@ -264,6 +272,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # One command on acyclic values, which reference counting frees; the cyclic
+    # collector would only sweep the decoded document.
+    gc.disable()
     try:
         code = run(sys.argv[1:])
         # Flush here, so that a reader that closed the pipe early is seen

@@ -76,33 +76,22 @@ def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> Variable
     if "*" in raw:
         if len(raw) != 1:
             raise ModelError(f"{where}: '*' shorthand cannot be mixed with per-state entries")
-        return VariableValuation.constant(space, _parse_members(space, atom, raw["*"], {}))
-    decoded: dict = {}  # an atom's readings are often a few events shared by many states
+        return VariableValuation.constant(space, _parse_members(space, atom, raw["*"]))
     try:
-        sets = space.table(raw, lambda state, members: _parse_members(space, atom, members, decoded),
+        sets = space.table(raw, lambda state, members: _parse_members(space, atom, members),
                            f"{where}: valuation missing interpretation for state ")
     except UnknownStateError as exc:
         raise ModelError(f"{where}: undeclared state {_shown(exc.name)}") from None
     return VariableValuation(space, sets)
 
 
-def _parse_members(space: StateSpace, atom: str, raw: object, decoded: dict):
-    """Decode a member list, or find it in ``decoded``, where each list that
-    decoded is kept under its length and end names: a key of O(1) cost."""
+def _parse_members(space: StateSpace, atom: str, raw: object):
     if not isinstance(raw, list):
         raise ModelError(f"atom {_shown(atom)}: interpretation values must be lists of states")
-    key = (len(raw), raw[0], raw[-1]) if raw else ()
     try:
-        seen, members = decoded.get(key, (None, None))
-    except TypeError:  # an unhashable name, which subset reports
-        seen = None
-    if seen != raw:
-        try:
-            members = space.subset(raw)
-        except UnknownStateError as exc:
-            raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(exc.name)}") from None
-        decoded[key] = raw, members
-    return members
+        return space.subset(raw)
+    except UnknownStateError as exc:
+        raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(exc.name)}") from None
 
 
 def parse_document(data: dict) -> ModelDocument:

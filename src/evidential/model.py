@@ -69,12 +69,25 @@ class StateSpace(_Value):
     def table(self, entries: Mapping, decode: Callable[[str, object], object], missing: str) -> tuple:
         """Decode a state-keyed table into state order: each key is checked, in
         table order, before ``decode(key, value)`` runs; then the first state
-        without an entry raises ``missing`` followed by its name."""
-        decoded = {}
+        without an entry raises ``missing`` followed by its name.  Each distinct
+        ``str`` or nonempty ``list`` value is decoded once, at its first state;
+        a value of another type, or one that fails, is never kept."""
+        decoded, seen = {}, {}  # seen: a str, or a list's (length, first, last) -> (value, decoded)
         for key, value in entries.items():
             if key not in self._bit:
                 raise UnknownStateError(key)
-            decoded[key] = decode(key, value)
+            memo = value if value.__class__ is str else None
+            if value.__class__ is list and value:
+                memo = len(value), value[0], value[-1]
+            try:
+                earlier, result = seen.get(memo, (None, None))
+            except TypeError:  # an unhashable end item: decode the list, keep nothing
+                earlier = memo = None
+            if earlier is None or earlier != value:
+                result = decode(key, value)
+                if memo is not None:
+                    seen[memo] = value, result
+            decoded[key] = result
         if len(decoded) < len(self.states):
             raise ModelError(missing + _shown(next(s for s in self.states if s not in decoded)))
         return tuple(map(decoded.__getitem__, self.states))
@@ -141,9 +154,7 @@ class StateSet(_Value):
             raise ModelError("state sets belong to different state spaces")
 
     def __contains__(self, name: object) -> bool:
-        if not isinstance(name, str):
-            return False
-        return bool(self.mask >> self.space.index(name) & 1)
+        return isinstance(name, str) and self.mask & self.space._bit.get(name, 0) != 0
 
     def __iter__(self) -> Iterator[str]:
         return compress(self.space.states, self._selectors())

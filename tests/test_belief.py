@@ -70,6 +70,9 @@ class TestProbabilityMeasure:
         space = StateSpace(("a", "b"))
         with pytest.raises(ModelError, match="float"):
             ProbabilityMeasure.from_weights(space, {"a": 0.5, "b": 0.5})
+        # A float after an equal Fraction is still a float.
+        with pytest.raises(ModelError, match=r"^weights must be exact rationals, got float 0\.5$"):
+            ProbabilityMeasure.from_weights(space, {"a": Fraction(1, 2), "b": 0.5})
 
     def test_event_probability(self, coinflip):
         model, pi = coinflip.model, coinflip.measure("pi")

@@ -1,15 +1,17 @@
 """CLI behavior: outputs, formats, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from evidential import EXTENDED, parse, truth_set
-from evidential.cli import run
+from evidential.cli import _Output, run
 from evidential.formula import MAX_NESTING
 from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
@@ -155,6 +157,15 @@ class TestQueries:
         assert out == "{H-acc,H-st}\n"
 
 
+def test_output_renders_equal_values_by_their_own_types():
+    for machine, prefix in ((False, ""), (True, "v=")):
+        out = _Output(machine)
+        for value in (1, True, Fraction(1), 1.0, 1, True, Fraction(1), 1.0, "1"):
+            out.value("v", value)
+        texts = ("1", "True", "1", "1.0") * 2 + ("1",)
+        assert out.render() == "".join(f"{prefix}{text}\n" for text in texts)
+
+
 class TestModelResolution:
     def test_file_path(self, capsys, tmp_path):
         path = write_model(tmp_path, json.loads(open_fixture()))
@@ -297,6 +308,17 @@ class TestExitCodes:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (0, b"")
+
+    def test_run_leaves_the_cyclic_collector_as_it_found_it(self, capsys):
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert invoke(capsys, "check", "coinflip")[0] == 0
+                assert invoke(capsys, "truth-set", "coinflip", "&")[0] == 2
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_syntax_error(self, capsys):
         code, _, err = invoke(capsys, "truth-set", "coinflip", "pbar &&& h")

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from evidential import ModelError, load_document, parse_document
+from evidential import (
+    ModelError,
+    ProbabilityMeasure,
+    StateSpace,
+    VariableValuation,
+    load_document,
+    parse_document,
+)
 from evidential.fixtures import coinflip
 
 
@@ -116,6 +123,39 @@ class TestParseDocument:
         for atom, interp in atoms.items():
             parsed = {state: frozenset(value) for state, value in doc.model.valuation(atom).items()}
             assert parsed == {state: frozenset(members) for state, members in interp.items()}
+
+    def test_pooled_document_decodes_like_its_states_one_by_one(self):
+        # 1,024 states whose readings repeat a few member lists (some with the
+        # same length and ends) and whose weights repeat a few texts, two of
+        # them equal in value; the expected values are built state by state.
+        rng = random.Random(20261019)
+        states = [f"s{i}" for i in range(1024)]
+        atoms = {}
+        for atom, pool in (("k4", 4), ("k16", 16)):
+            events = [rng.sample(states, rng.randrange(2, 64)) for _ in range(pool)]
+            events += [event[:1] + rng.sample(states, 3) + event[-1:] for event in events]
+            # Copies, not shared lists, in shuffled table order.
+            atoms[atom] = {state: list(rng.choice(events))
+                           for state in rng.sample(states, len(states))}
+        atoms["c"] = {"*": rng.sample(states, 700)}
+        weights = [rng.randint(1, 9) for _ in states]
+        measures = {
+            "w": {state: f"{w}/{sum(weights)}" for state, w in zip(states, weights)},
+            "u": {state: ("1/1024", "2/2048")[i % 2] for i, state in enumerate(states)},
+        }
+        doc = parse_document({"states": states, "atoms": atoms, "measures": measures})
+
+        space = StateSpace(states)
+        expected_atoms = {
+            atom: VariableValuation(space, [space.subset(interp[state]) for state in states])
+            for atom, interp in atoms.items() if atom != "c"
+        }
+        expected_atoms["c"] = VariableValuation.constant(space, space.subset(atoms["c"]["*"]))
+        assert dict(doc.model.atoms) == expected_atoms
+        assert doc.measures == {
+            name: ProbabilityMeasure(space, [Fraction(table[state]) for state in states])
+            for name, table in measures.items()
+        }
 
     @pytest.mark.parametrize("atoms, message", [
         # A list that repeats an earlier one's length and ends, with a stranger inside.

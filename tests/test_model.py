@@ -95,6 +95,8 @@ class TestStateSet:
     def test_membership(self):
         ab = self.space.subset(["a", "b"])
         assert "a" in ab and "c" not in ab
+        # A value that is not a state is not a member, as with a frozenset.
+        assert "zz" not in ab and "" not in ab and 1 not in ab and ["a"] not in ab
         assert len(ab) == 2 and bool(ab)
         assert not self.space.empty()
 
@@ -185,6 +187,45 @@ class TestValuation:
         assert seen == ["c", "a", "b"]
         with pytest.raises(ModelError, match=exactly("missing 'b'")):
             space.table({"c": 3, "a": 1}, decode, "missing ")
+
+    def test_table_decodes_each_distinct_text_or_list_once(self):
+        space = StateSpace(("a", "b", "c", "d", "e", "f"))
+        calls = []
+
+        def decode(state, value):
+            calls.append(state)
+            return tuple(value)
+
+        table = {"a": "ab", "b": ["a", "b"], "c": "ab", "d": ["a", "b"], "e": ["a", "c", "b"], "f": []}
+        assert space.table(table, decode, "missing ") == (
+            ("a", "b"), ("a", "b"), ("a", "b"), ("a", "b"), ("a", "c", "b"), ())
+        assert calls == ["a", "b", "e", "f"]
+        # Any other type is decoded every time, so 1, True and 1.0 keep their own results.
+        calls.clear()
+        values = (1, True, 1, 1.0, True, 1)
+        decoded = space.table(dict(zip(space, values)), lambda state, value: calls.append(state) or value,
+                              "missing ")
+        assert list(map(type, decoded)) == list(map(type, values))
+        assert calls == list(space)
+
+    def test_table_faults_are_named_at_their_own_state(self):
+        space = StateSpace(("a", "b", "c"))
+
+        def decode(state, value):
+            if "x" in value:
+                raise ModelError(f"bad value at {state}")
+            return value
+
+        with pytest.raises(ModelError, match=exactly("bad value at b")):
+            space.table({"a": ["a", "b"], "b": ["a", "x", "b"], "c": ["a", "x", "b"]}, decode, "missing ")
+        with pytest.raises(ModelError, match=exactly("bad value at c")):
+            space.table({"a": "ok", "b": "ok", "c": "x"}, decode, "missing ")
+        with pytest.raises(UnknownStateError, match=exactly("unknown state: 'z'")):
+            space.table({"a": "ok", "z": "ok", "b": "x"}, decode, "missing ")
+        with pytest.raises(ModelError, match=exactly("bad value at a")):
+            space.table({"a": [["x"], "x"], "b": [["x"], "x"]}, decode, "missing ")
+        with pytest.raises(ModelError, match=exactly("missing 'c'")):
+            space.table({"b": "ok", "a": "ok"}, decode, "missing ")
 
     def test_constant_detection(self):
         space = StateSpace(("a", "b"))
