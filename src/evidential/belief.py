@@ -1,7 +1,10 @@
 """Exact-rational probability, evidentially supported belief, and mass functions.
 
-Everything here computes with :class:`fractions.Fraction`; there is no
-floating point anywhere, so all identities hold exactly.
+Everything here is exact; there is no floating point anywhere, so all
+identities hold exactly.  A measure keeps int numerators over one common
+denominator, so the probability of an event is one int sum, and evidence
+groups those ints by the bit mask of its meaning.  Values cross the API as
+:class:`fractions.Fraction` and :class:`~evidential.model.StateSet`.
 
 Given a prior over a model's state space and an evidence formula, the
 *evidentially supported belief* in an event is the conditional probability,
@@ -17,25 +20,20 @@ interpretations indexed by the same underlying state.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ModelError, TotalConflictError, UndefinedConditioningError, _set, _Value, _shown
 from .formula import And, Formula, STRICT
-from .model import Model, StateSet, StateSpace
-from .semantics import interpreter, truth_set
+from .model import Model, StateSet, StateSpace, _selectors
+from .semantics import interpretation_masks, truth_set
 
 __all__ = [
-    "ProbabilityMeasure",
-    "MassFunction",
-    "degree",
-    "degree_given",
-    "bel",
-    "mass_from_evidence",
-    "dempster_combine",
-    "pointwise_combine",
-    "pointwise_condition",
+    "ProbabilityMeasure", "MassFunction", "degree", "degree_given", "bel", "mass_from_evidence",
+    "dempster_combine", "pointwise_combine", "pointwise_condition",
 ]
 
 
@@ -47,10 +45,37 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class ProbabilityMeasure(_Value):
-    """Exact nonnegative weights per state, summing to one."""
+def _rational(value: Fraction, what: str) -> str:
+    """``value`` as message text; past the interpreter's int-digit limit,
+    where ``str`` raises ``ValueError``, ``what`` with a note instead."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{what} whose numerals exceed the integer digit limit"
 
-    __slots__ = _fields = ("space", "weights")
+
+def _over_common_denominator(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int, ...], int]:
+    """The numerators of ``values`` over the lcm of their denominators, checked
+    to sum to it: one int sum instead of a Fraction addition, each with its own
+    gcd, per value."""
+    denominator = lcm(*(v.denominator for v in values))
+    numerators = tuple(v.numerator * (denominator // v.denominator) for v in values)
+    total = sum(numerators)
+    if total != denominator:
+        got = _rational(Fraction(total, denominator), "a sum")
+        raise ModelError(f"{what} must sum to 1, got {got}")
+    return numerators, denominator
+
+
+class ProbabilityMeasure(_Value):
+    """Exact nonnegative weights per state, summing to one.
+
+    The weights are kept as int ``numerators`` over one ``denominator``;
+    ``weights`` gives them as Fractions, built the first time it is read.
+    """
+
+    __slots__ = ("space", "numerators", "denominator", "_weights")
+    _fields = ("space", "weights")
 
     def __init__(self, space: StateSpace, weights: Iterable[object]):
         weights = tuple(_as_fraction(w) for w in weights)
@@ -58,19 +83,15 @@ class ProbabilityMeasure(_Value):
             raise ModelError(f"measure must weight all {len(space)} states, got {len(weights)}")
         for name, w in zip(space.states, weights):
             if w.numerator < 0:
-                raise ModelError(f"negative weight {w} for state {_shown(name)}")
-        # One integer sum over the common denominator instead of n Fraction
-        # additions, each with its own gcd.
-        denominator = lcm(*(w.denominator for w in weights))
-        total = sum(w.numerator * (denominator // w.denominator) for w in weights)
-        if total != denominator:
-            try:
-                got = str(Fraction(total, denominator))
-            except ValueError:  # a numeral beyond the interpreter's int-digit limit
-                got = "a sum whose numerals exceed the integer digit limit"
-            raise ModelError(f"weights must sum to 1, got {got}")
+                raise ModelError(f"negative weight {_rational(w, 'one')} for state {_shown(name)}")
+        numerators, denominator = _over_common_denominator(weights, "weights")
+        self._fill(space, numerators, denominator, weights)
+
+    def _fill(self, space: StateSpace, numerators: tuple, denominator: int, weights) -> None:
         _set(self, "space", space)
-        _set(self, "weights", weights)
+        _set(self, "numerators", numerators)
+        _set(self, "denominator", denominator)
+        _set(self, "_weights", weights)
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
@@ -78,32 +99,35 @@ class ProbabilityMeasure(_Value):
         return cls(space, space.table(weights, lambda state, weight: weight,
                                       "measure missing weight for state "))
 
-    def of(self, event: StateSet) -> Fraction:
-        """The probability of an event: the sum of its states' weights."""
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if self._weights is None:
+            denominator = self.denominator
+            _set(self, "_weights", tuple(Fraction(n, denominator) for n in self.numerators))
+        return self._weights
+
+    def _members(self, event: StateSet) -> bytes:
         if event.space != self.space:
             raise ModelError("event is over a different state space")
-        return sum(
-            (w for i, w in enumerate(self.weights) if event.mask >> i & 1),
-            Fraction(0),
-        )
+        return _selectors(event.mask)
+
+    def of(self, event: StateSet) -> Fraction:
+        """The probability of an event: the sum of its states' weights."""
+        return Fraction(sum(compress(self.numerators, self._members(event))), self.denominator)
 
     def of_state(self, name: str) -> Fraction:
-        return self.weights[self.space.index(name)]
+        return Fraction(self.numerators[self.space.index(name)], self.denominator)
 
     def condition(self, event: StateSet) -> ProbabilityMeasure:
-        """Bayesian conditioning on an event of positive probability."""
-        total = self.of(event)
+        """Bayesian conditioning on an event of positive probability: the
+        numerators inside the event, over their sum."""
+        selectors = self._members(event).ljust(len(self.space), b"\0")
+        total = sum(compress(self.numerators, selectors))
         if total == 0:
-            raise UndefinedConditioningError(
-                f"cannot condition on event {event} of probability zero"
-            )
-        return ProbabilityMeasure(
-            self.space,
-            tuple(
-                w / total if event.mask >> i & 1 else Fraction(0)
-                for i, w in enumerate(self.weights)
-            ),
-        )
+            raise UndefinedConditioningError(f"cannot condition on event {event} of probability zero")
+        posterior = ProbabilityMeasure.__new__(ProbabilityMeasure)
+        posterior._fill(self.space, tuple(map(mul, self.numerators, selectors)), total, None)
+        return posterior
 
     def items(self) -> Iterator[tuple[str, Fraction]]:
         return zip(self.space.states, self.weights)
@@ -125,15 +149,13 @@ class MassFunction(_Value):
                 raise ModelError("mass entry is over a different state space")
             mass = _as_fraction(mass)
             if mass < 0:
-                raise ModelError(f"mass for {event} must be positive, got {mass}")
+                raise ModelError(f"mass for {event} must be positive, got {_rational(mass, 'one')}")
             if mass == 0:
                 continue
             if event.mask == 0:
                 raise ModelError("the empty set cannot carry mass")
             entries[event] = mass
-        total = sum(entries.values(), Fraction(0))
-        if total != 1:
-            raise ModelError(f"masses must sum to 1, got {total}")
+        _over_common_denominator(tuple(entries.values()), "masses")
         _set(self, "space", space)
         _set(self, "masses", MappingProxyType(entries))
 
@@ -151,10 +173,7 @@ class MassFunction(_Value):
 
     def belief(self, event: StateSet) -> Fraction:
         """Total mass of all stored subsets of the event."""
-        return sum(
-            (mass for focal, mass in self.masses.items() if focal <= event),
-            Fraction(0),
-        )
+        return sum((mass for focal, mass in self.masses.items() if focal <= event), Fraction(0))
 
 
 def degree(model: Model, measure: ProbabilityMeasure, f: Formula, mode: str = STRICT) -> Fraction:
@@ -163,11 +182,7 @@ def degree(model: Model, measure: ProbabilityMeasure, f: Formula, mode: str = ST
 
 
 def degree_given(
-    model: Model,
-    measure: ProbabilityMeasure,
-    of: Formula,
-    given: Formula,
-    mode: str = STRICT,
+    model: Model, measure: ProbabilityMeasure, of: Formula, given: Formula, mode: str = STRICT
 ) -> Fraction:
     """Conditional degree of belief: probability of one truth set given another."""
     evidence_set = truth_set(model, given, mode)
@@ -176,25 +191,21 @@ def degree_given(
 
 def _meaning_weights(
     model: Model, measure: ProbabilityMeasure, evidence: Formula, mode: str, states: StateSet
-) -> dict[StateSet, Fraction]:
-    """The prior weight of ``states``, grouped by the evidence's meaning at each."""
+) -> dict[int, int]:
+    """The prior weight of ``states``, as numerators over the measure's
+    denominator, grouped by the mask of the evidence's meaning at each."""
     if measure.space != model.space:
         raise ModelError("measure is over a different state space")
-    meaning = interpreter(model, evidence, mode)
-    weights = measure.weights
-    groups: dict[StateSet, Fraction] = {}
-    for i in states.indices():
-        value = meaning(i)
-        groups[value] = groups.get(value, 0) + weights[i]
+    selectors = _selectors(states.mask)
+    meanings = interpretation_masks(model, evidence, mode, compress(range(len(model.space)), selectors))
+    groups: dict[int, int] = {}
+    for meaning, weight in zip(meanings, compress(measure.numerators, selectors)):
+        groups[meaning] = groups.get(meaning, 0) + weight
     return groups
 
 
 def bel(
-    model: Model,
-    measure: ProbabilityMeasure,
-    evidence: Formula,
-    event: StateSet,
-    mode: str = STRICT,
+    model: Model, measure: ProbabilityMeasure, evidence: Formula, event: StateSet, mode: str = STRICT
 ) -> Fraction:
     """Evidentially supported belief in an event.
 
@@ -215,13 +226,12 @@ def mass_from_evidence(
     conditional probability that it is the correct interpretation.
     """
     evidence_set = truth_set(model, evidence, mode)
-    total = measure.of(evidence_set)
-    if total == 0:
+    if measure.of(evidence_set) == 0:
         raise UndefinedConditioningError(
-            f"evidence {evidence} has probability zero; belief is undefined"
-        )
+            f"evidence {evidence} has probability zero; belief is undefined")
     groups = _meaning_weights(model, measure, evidence, mode, evidence_set)
-    return MassFunction(model.space, {value: w / total for value, w in groups.items()})
+    total, space = sum(groups.values()), model.space
+    return MassFunction(space, {StateSet(space, m): Fraction(w, total) for m, w in groups.items()})
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -244,10 +254,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 
 def pointwise_combine(
-    model: Model,
-    measure: ProbabilityMeasure,
-    evidence1: Formula,
-    evidence2: Formula,
+    model: Model, measure: ProbabilityMeasure, evidence1: Formula, evidence2: Formula,
     mode: str = STRICT,
 ) -> MassFunction:
     """Combine two bodies of evidence by conjoining them.
@@ -260,11 +267,7 @@ def pointwise_combine(
 
 
 def pointwise_condition(
-    model: Model,
-    measure: ProbabilityMeasure,
-    of: Formula,
-    evidence: Formula,
-    mode: str = STRICT,
+    model: Model, measure: ProbabilityMeasure, of: Formula, evidence: Formula, mode: str = STRICT
 ) -> Fraction:
     """EXPLORATORY: average conditional probability over interpretation events.
 
@@ -275,15 +278,18 @@ def pointwise_condition(
     and the surviving weights are NOT renormalized, so the result of a
     tautology can fall below one.  Raises when every term vanishes.
     """
-    of_set = truth_set(model, of, mode)
+    of_mask = truth_set(model, of, mode).mask
     groups = _meaning_weights(model, measure, evidence, mode, model.space.full())
+    numerators, denominator = measure.numerators, measure.denominator
     total = Fraction(0)
     survived = False
-    for value, weight in groups.items():
-        probability = measure.of(value) if value else 0
+    for meaning, weight in groups.items():
+        # P(of | meaning) * P(meaning is meant) = (inside / probability) * (weight / denominator)
+        probability = sum(compress(numerators, _selectors(meaning)))  # zero for the empty meaning
         if probability:
             survived = True
-            total += measure.of(of_set & value) / probability * weight
+            inside = sum(compress(numerators, _selectors(of_mask & meaning)))
+            total += Fraction(inside * weight, probability * denominator)
     if not survived:
         raise UndefinedConditioningError(
             "every interpretation of the evidence has probability zero or is empty"

@@ -1,9 +1,23 @@
 """Exception types, and the base of the value classes, shared across the package."""
 
+from math import log10
+
 
 def _shown(value: object) -> str:
-    """``repr(value)`` cut to 60 characters, so that a message stays one short line."""
-    text = repr(value)
+    """``repr(value)`` cut to 60 characters, so that a message stays one short line.
+
+    It never raises: past the interpreter's int-digit limit, where ``repr``
+    raises ``ValueError``, an int shows as ``<int of N digits>`` and any other
+    value as a placeholder naming its type.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} holding an int past the digit limit>"
+        n = abs(value)
+        digits = int(log10(n)) + 1  # off by at most one, from float rounding
+        return f"<int of {digits + (n >= 10 ** digits) - (n < 10 ** (digits - 1))} digits>"
     return text if len(text) <= 60 else text[:57] + "..."
 
 

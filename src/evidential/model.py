@@ -125,6 +125,14 @@ class StateSpace(_Value):
 _DIGIT_TO_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _selectors(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest first, 1 where it is set: the
+    selectors of :func:`itertools.compress`.  One C-level pass over the
+    mask's binary digits; shifting the mask once per bit would cost O(n)
+    per step."""
+    return bin(mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_SELECTOR)
+
+
 class StateSet(_Value):
     """A subset of a state space, stored as a bit vector over state indices.
 
@@ -157,16 +165,11 @@ class StateSet(_Value):
         return isinstance(name, str) and self.mask & self.space._bit.get(name, 0) != 0
 
     def __iter__(self) -> Iterator[str]:
-        return compress(self.space.states, self._selectors())
+        return compress(self.space.states, _selectors(self.mask))
 
     def indices(self) -> Iterator[int]:
         """The bit indices of the member states, ascending."""
-        return compress(range(len(self.space)), self._selectors())
-
-    def _selectors(self) -> bytes:
-        # One C-level pass over the mask's binary digits, lowest bit first;
-        # shifting the mask once per state would cost O(n) per step.
-        return bin(self.mask)[:1:-1].encode("ascii").translate(_DIGIT_TO_SELECTOR)
+        return compress(range(len(self.space)), _selectors(self.mask))
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")

@@ -16,13 +16,14 @@ Every connective but ``=>`` acts pointwise, so the truth set of a formula
 is the same Boolean combination of its atoms' truth sets as its
 interpretation at a state is of their interpretations there.  One fold over
 bit masks serves both: :func:`truth_set` folds the atoms' truth masks, and
-:func:`interpreter` folds the masks of their interpretations at one state.
+:func:`interpretation_masks` folds the masks of their interpretations at a
+state, once per state asked for.
 Each ``=>`` node is evaluated once per call, by that same fold at every state.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterable
 
 from .errors import EntailmentModeError
 from .formula import (
@@ -40,7 +41,7 @@ from .formula import (
 )
 from .model import Model, StateSet
 
-__all__ = ["interpret", "interpreter", "truth_set"]
+__all__ = ["interpret", "interpretation_masks", "truth_set"]
 
 _NO_POINTWISE = "entailment (=>) has no pointwise interpretation in strict mode"
 
@@ -49,19 +50,20 @@ def interpret(model: Model, f: Formula, state: str, mode: str = STRICT) -> State
     """The interpretation of ``f`` at the named state."""
     check_mode(mode)
     i = model.space.index(state)
-    return interpreter(model, f, mode)(i)
+    return StateSet(model.space, interpretation_masks(model, f, mode, (i,))[0])
 
 
-def interpreter(model: Model, f: Formula, mode: str = STRICT) -> Callable[[int], StateSet]:
-    """``f``'s interpretation as a function of state index.
+def interpretation_masks(model: Model, f: Formula, mode: str, indices: Iterable[int]) -> list[int]:
+    """The mask of ``f``'s interpretation at each state index in ``indices``.
 
-    The calls share one evaluation of each nested ``=>``.
+    The mode is checked once, and the states share one evaluation of each
+    nested ``=>``.
     """
     check_mode(mode)
     if mode == STRICT and contains_entailment(f):
         raise EntailmentModeError(_NO_POINTWISE)
     memo: dict[int, int] = {}
-    return lambda i: StateSet(model.space, _fold(model, f, i, memo))
+    return [_fold(model, f, i, memo) for i in indices]
 
 
 def truth_set(model: Model, f: Formula, mode: str = STRICT) -> StateSet:

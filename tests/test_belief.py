@@ -38,6 +38,7 @@ from evidential import (
 
 import gens
 import oracles
+from test_document import digit_limit
 
 PBAR = Atom("pbar")
 H = Atom("h")
@@ -74,11 +75,66 @@ class TestProbabilityMeasure:
         with pytest.raises(ModelError, match=r"^weights must be exact rationals, got float 0\.5$"):
             ProbabilityMeasure.from_weights(space, {"a": Fraction(1, 2), "b": 0.5})
 
+    def test_negative_weight_past_the_digit_limit(self):
+        space = StateSpace(("a", "b"))
+        message = ("negative weight one whose numerals exceed the integer digit limit "
+                   "for state 'b'")
+        with pytest.raises(ModelError, match="^" + message + "$"):
+            ProbabilityMeasure(space, (Fraction(1), Fraction(-1, 10 ** digit_limit())))
+
     def test_event_probability(self, coinflip):
         model, pi = coinflip.model, coinflip.measure("pi")
         assert pi.of(model.atom_truth_set("h")) == Fraction(1, 2)
         assert pi.of(model.space.empty()) == 0
         assert pi.of(model.atom_truth_set("a")) == Fraction(3, 5)
+
+
+class TestIntWeights:
+    """A measure keeps int numerators over one denominator; every value it
+    gives must equal the Fraction sums over its weights."""
+
+    @given(gens.measures(), st.data())
+    def test_of_and_condition_match_the_oracle(self, measure, data):
+        space = measure.space
+        event, other = data.draw(gens.state_sets(space)), data.draw(gens.state_sets(space))
+        weights = dict(measure.items())
+        probability = oracles.event_probability(weights, frozenset(event))
+        assert measure.of(event) == probability
+        if probability == 0:
+            with pytest.raises(UndefinedConditioningError):
+                measure.condition(event)
+            return
+        posterior = measure.condition(event)
+        expected = tuple(weights[s] / probability if s in event else Fraction(0) for s in space)
+        assert posterior.weights == expected
+        assert dict(posterior.items()) == dict(zip(space.states, expected))
+        assert posterior == ProbabilityMeasure(space, expected)
+        assert hash(posterior) == hash(ProbabilityMeasure(space, expected))
+        inside = oracles.event_probability(weights, frozenset(event) & frozenset(other))
+        assert posterior.of(other) == inside / probability
+        assert [posterior.of_state(s) for s in space] == list(expected)
+
+    def test_distinct_prime_denominators(self):
+        """64 weights over distinct primes, and a last weight over their
+        product: a common denominator of about 170 digits."""
+        primes = [p for p in range(101, 500) if all(p % d for d in range(2, 23))][:64]
+        assert len(primes) == 64
+        weights = [Fraction(1, p) for p in primes]
+        weights.append(1 - sum(weights))
+        space = StateSpace(tuple(f"s{i}" for i in range(len(weights))))
+        measure = ProbabilityMeasure(space, weights)
+        rng = random.Random(64)
+        for _ in range(50):
+            event, other = gens.random_set(rng, space), gens.random_set(rng, space)
+            probability = sum((weights[i] for i in event.indices()), Fraction(0))
+            assert measure.of(event) == probability
+            if probability == 0:
+                continue
+            posterior = measure.condition(event)
+            assert posterior.weights == tuple(
+                w / probability if event.mask >> i & 1 else Fraction(0) for i, w in enumerate(weights))
+            inside = sum((weights[i] for i in (event & other).indices()), Fraction(0))
+            assert posterior.of(other) == inside / probability
 
 
 class TestConditioning:
@@ -259,6 +315,15 @@ class TestMassFunctionValidation:
         )
         assert sparse == MassFunction.vacuous(self.space)
         assert len(sparse.items()) == 1
+
+    def test_sum_past_the_digit_limit(self):
+        # Two masses within the limit whose sum has twice their digits.
+        digits = digit_limit() * 3 // 4
+        masses = {self.space.subset(["a"]): Fraction(1, 10 ** digits),
+                  self.space.subset(["b"]): Fraction(1, 3 * 10 ** (digits - 1) + 7)}
+        message = "^masses must sum to 1, got a sum whose numerals exceed the integer digit limit$"
+        with pytest.raises(ModelError, match=message):
+            MassFunction(self.space, masses)
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(ModelError, match="sum to 1"):

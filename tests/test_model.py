@@ -20,6 +20,7 @@ from evidential.errors import UnknownStateError
 
 import gens
 import oracles
+from test_document import digit_limit
 
 
 def exactly(message):
@@ -70,6 +71,27 @@ class TestStateSpace:
             assert space != other
             assert {StateSet(space, 1): 0}.get(StateSet(other, 1)) is None
         assert space != ("a", "b", "c")
+
+
+class TestValuesPastTheDigitLimit:
+    """A value holding an int past the interpreter's int-digit limit, which
+    ``repr`` cannot print, still ends in a one-line ModelError."""
+
+    def test_state_name(self):
+        message = f"state names must be nonempty strings, got <int of {digit_limit() + 1} digits>"
+        with pytest.raises(ModelError, match=exactly(message)):
+            StateSpace([10 ** digit_limit()])
+        with pytest.raises(ModelError, match=exactly(
+                "state names must be nonempty strings, got <list holding an int past the digit limit>")):
+            StateSpace([[-10 ** digit_limit()]])
+
+    def test_subset_member(self):
+        with pytest.raises(UnknownStateError, match=exactly(f"unknown state: <int of {digit_limit() + 1} digits>")):
+            StateSpace(("a",)).subset([10 ** digit_limit()])
+
+    def test_valuation_member(self):
+        with pytest.raises(ModelError, match=exactly(f"unknown state: <int of {digit_limit() + 1} digits>")):
+            VariableValuation.from_mapping(StateSpace(("a",)), {"a": [10 ** (digit_limit() + 1) - 1]})
 
 
 class TestStateSet:

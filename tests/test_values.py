@@ -25,7 +25,9 @@ THIRDS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
 
 def values():
-    """Two separately built copies of one value of each hashable class."""
+    """Two separately built copies of one value of each hashable class; then a
+    conditioned measure, which keeps int numerators and builds its Fractions
+    only when they are read, with the measure built from those Fractions."""
     def build():
         space = StateSpace(("a", "b", "c"))
         return [
@@ -40,7 +42,18 @@ def values():
             VariableValuation.constant(space, space.subset(["b"])),
             ProbabilityMeasure(space, THIRDS),
         ]
-    return list(zip(build(), build()))
+    conditioned = ProbabilityMeasure(SPACE, THIRDS).condition(SPACE.subset(["a", "b"]))
+    posterior = ProbabilityMeasure(StateSpace(("a", "b", "c")), (Fraction(3, 5), Fraction(2, 5), 0))
+    return list(zip(build(), build())) + [(conditioned, posterior)]
+
+
+def names(values):
+    """Each value's class name, numbered from its class's second value on."""
+    seen = {}
+    for value in values:
+        kind = type(value).__name__
+        seen[kind] = seen.get(kind, 0) + 1
+        yield kind if seen[kind] == 1 else f"{kind}-{seen[kind]}"
 
 
 def test_nodes_of_different_classes_differ():
@@ -51,7 +64,7 @@ def test_nodes_of_different_classes_differ():
     assert Not(p) != p
 
 
-@pytest.mark.parametrize("pair", values(), ids=lambda pair: type(pair[0]).__name__)
+@pytest.mark.parametrize("pair", values(), ids=list(names(first for first, _ in values())))
 def test_equal_values_hash_alike_and_survive_pickling(pair):
     first, second = pair
     assert first is not second
@@ -67,7 +80,7 @@ def all_values():
     return first + [MassFunction.vacuous(SPACE), document]
 
 
-@pytest.mark.parametrize("value", all_values(), ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("value", all_values(), ids=list(names(all_values())))
 def test_fields_cannot_be_assigned_or_deleted(value):
     for name in ("name", "operand", "left", "space", "states", "mask", "sets",
                  "weights", "masses", "model", "measures", "other"):
