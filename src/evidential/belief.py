@@ -3,7 +3,8 @@
 Everything here is exact; there is no floating point anywhere, so all
 identities hold exactly.  A measure keeps int numerators over one common
 denominator, so the probability of an event is one int sum, and evidence
-groups those ints by the bit mask of its meaning.  Values cross the API as
+groups those ints by the bit mask of its meaning into a mass function's int
+numerators, so a belief is one int sum too.  Values cross the API as
 :class:`fractions.Fraction` and :class:`~evidential.model.StateSet`.
 
 Given a prior over a model's state space and an evidence formula, the
@@ -42,7 +43,10 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise ModelError(f"weights must be exact rationals, got float {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ModelError(f"weights must be exact rationals, got {_shown(value)}") from None
 
 
 def _rational(value: Fraction, what: str) -> str:
@@ -137,14 +141,19 @@ class MassFunction(_Value):
     """Exact positive masses on nonempty events, summing to one.
 
     Only nonzero entries are stored; the empty set never carries mass.
-    Equality is structural: same space, same sparse entries.
+    Equality is structural: same space, same sparse entries.  The masses are
+    kept as int ``numerators`` keyed by focal-set mask over one ``denominator``;
+    ``masses`` maps StateSets to Fractions, built the first time it is read.
     """
 
-    __slots__ = _fields = ("space", "masses")
+    __slots__ = ("space", "numerators", "denominator", "_masses")
+    _fields = ("space", "masses")
 
     def __init__(self, space: StateSpace, masses: Mapping[StateSet, object]):
         entries = {}
         for event, mass in masses.items():
+            if not isinstance(event, StateSet):
+                raise ModelError(f"mass entries must be keyed by StateSet, got {_shown(event)}")
             if event.space != space:
                 raise ModelError("mass entry is over a different state space")
             mass = _as_fraction(mass)
@@ -155,17 +164,38 @@ class MassFunction(_Value):
             if event.mask == 0:
                 raise ModelError("the empty set cannot carry mass")
             entries[event] = mass
-        _over_common_denominator(tuple(entries.values()), "masses")
+        numerators, denominator = _over_common_denominator(tuple(entries.values()), "masses")
+        self._fill(space, dict(zip((event.mask for event in entries), numerators)), denominator,
+                   MappingProxyType(entries))
+
+    def _fill(self, space: StateSpace, numerators: dict, denominator: int, masses=None) -> MassFunction:
+        """Unchecked: positive ``numerators`` on nonzero masks, summing to ``denominator``."""
         _set(self, "space", space)
-        _set(self, "masses", MappingProxyType(entries))
+        _set(self, "numerators", MappingProxyType(numerators))
+        _set(self, "denominator", denominator)
+        _set(self, "_masses", masses)
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.space, dict(self.masses))
+
+    @property
+    def masses(self) -> Mapping[StateSet, Fraction]:
+        if self._masses is None:
+            space, denominator = self.space, self.denominator
+            _set(self, "_masses", MappingProxyType(
+                {StateSet(space, m): Fraction(n, denominator) for m, n in self.numerators.items()}))
+        return self._masses
 
     @classmethod
     def vacuous(cls, space: StateSpace) -> MassFunction:
         """All mass on the full space: total ignorance."""
-        return cls(space, {space.full(): Fraction(1)})
+        return cls.__new__(cls)._fill(space, {space.full().mask: 1}, 1)
 
     def of(self, event: StateSet) -> Fraction:
-        return self.masses.get(event, Fraction(0))
+        if event.__class__ is StateSet and event.space == self.space:
+            return Fraction(self.numerators.get(event.mask, 0), self.denominator)
+        return self.masses.get(event, Fraction(0))  # not a key; raises as a dict does if unhashable
 
     def items(self) -> list[tuple[StateSet, Fraction]]:
         """Entries sorted by bit-vector encoding, for deterministic output."""
@@ -173,7 +203,9 @@ class MassFunction(_Value):
 
     def belief(self, event: StateSet) -> Fraction:
         """Total mass of all stored subsets of the event."""
-        return sum((mass for focal, mass in self.masses.items() if focal <= event), Fraction(0))
+        event._check_space(self)
+        outside = ~event.mask
+        return Fraction(sum(n for m, n in self.numerators.items() if not m & outside), self.denominator)
 
 
 def degree(model: Model, measure: ProbabilityMeasure, f: Formula, mode: str = STRICT) -> Fraction:
@@ -230,8 +262,8 @@ def mass_from_evidence(
         raise UndefinedConditioningError(
             f"evidence {evidence} has probability zero; belief is undefined")
     groups = _meaning_weights(model, measure, evidence, mode, evidence_set)
-    total, space = sum(groups.values()), model.space
-    return MassFunction(space, {StateSet(space, m): Fraction(w, total) for m, w in groups.items()})
+    numerators = {m: w for m, w in groups.items() if w}  # no mask is zero: each holds its state
+    return MassFunction.__new__(MassFunction)._fill(model.space, numerators, sum(numerators.values()))
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -1,5 +1,7 @@
 """Measures, conditioning, evidential belief, mass functions, combination."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from evidential import (
     Not,
     Or,
     ProbabilityMeasure,
+    StateSet,
     StateSpace,
     TotalConflictError,
     UndefinedConditioningError,
@@ -74,6 +77,16 @@ class TestProbabilityMeasure:
         # A float after an equal Fraction is still a float.
         with pytest.raises(ModelError, match=r"^weights must be exact rationals, got float 0\.5$"):
             ProbabilityMeasure.from_weights(space, {"a": Fraction(1, 2), "b": 0.5})
+
+    @pytest.mark.parametrize("weights, shown", [
+        (["abc", "1"], "'abc'"),         # not a rational literal: ValueError inside Fraction
+        ([None, 1], "None"),             # not a number at all: TypeError
+        (["1/0", 1], "'1/0'"),           # a zero denominator: ZeroDivisionError
+    ], ids=["bad-literal", "none", "zero-denominator"])
+    def test_weights_that_are_not_rationals_raise_model_error(self, weights, shown):
+        space = StateSpace(("a", "b"))
+        with pytest.raises(ModelError, match=f"^weights must be exact rationals, got {shown}$"):
+            ProbabilityMeasure(space, weights)
 
     def test_negative_weight_past_the_digit_limit(self):
         space = StateSpace(("a", "b"))
@@ -316,6 +329,14 @@ class TestMassFunctionValidation:
         assert sparse == MassFunction.vacuous(self.space)
         assert len(sparse.items()) == 1
 
+    def test_mass_that_is_not_a_rational_raises_model_error(self):
+        with pytest.raises(ModelError, match="^weights must be exact rationals, got 'x'$"):
+            MassFunction(self.space, {self.space.full(): "x"})
+
+    def test_key_that_is_not_a_state_set_raises_model_error(self):
+        with pytest.raises(ModelError, match="^mass entries must be keyed by StateSet, got 'a'$"):
+            MassFunction(self.space, {"a": 1})
+
     def test_sum_past_the_digit_limit(self):
         # Two masses within the limit whose sum has twice their digits.
         digits = digit_limit() * 3 // 4
@@ -333,6 +354,69 @@ class TestMassFunctionValidation:
         m1 = MassFunction(self.space, {self.space.full(): Fraction(1)})
         m2 = MassFunction.vacuous(self.space)
         assert m1 == m2
+
+
+class TestIntMasses:
+    """A mass function keeps int numerators by focal-set mask over one
+    denominator; the StateSet-to-Fraction view is built only when read."""
+
+    @given(gens.spaces(), st.data())
+    def test_numerators_and_belief_match_the_oracles(self, space, data):
+        model, measure = data.draw(gens.models(space)), data.draw(gens.measures(space))
+        evidence = data.draw(gens.formulas(max_leaves=6))
+        universe, interps = frozenset(space), oracles.as_interps(model)
+        interp = {x: oracles.interpret_by_definition(universe, interps, evidence, x) for x in space}
+        weights = oracles.as_weights(measure)
+        if oracles.event_probability(weights, oracles.truth_set_by_membership(interp)) == 0:
+            return
+        mass = mass_from_evidence(model, measure, evidence)
+        assert all(n > 0 for n in mass.numerators.values())
+        assert all(mask != 0 for mask in mass.numerators)
+        assert sum(mass.numerators.values()) == mass.denominator
+        event = data.draw(gens.state_sets(space))
+        assert mass.belief(event) == oracles.bel_by_definition(weights, interp, frozenset(event))
+        assert oracles.as_mass_dict(mass) == oracles.mass_by_preimage(weights, interp)
+
+    def lazy(self, coinflip, evidence=PBAR):
+        return mass_from_evidence(coinflip.model, coinflip.measure("pi"), evidence)
+
+    @pytest.mark.parametrize("evidence", [PBAR, H, parse("pbar | a")], ids=str)
+    def test_lazy_view_equals_a_publicly_built_mass(self, coinflip, evidence):
+        space = coinflip.model.space
+        public = MassFunction(space, dict(self.lazy(coinflip, evidence).masses))
+        assert self.lazy(coinflip, evidence) == public
+        assert public == self.lazy(coinflip, evidence)
+        assert repr(self.lazy(coinflip, evidence)) == repr(public)
+        assert self.lazy(coinflip, evidence).items() == public.items()
+        for event in space.powerset():
+            assert self.lazy(coinflip, evidence).of(event) == public.of(event)
+            assert self.lazy(coinflip, evidence).belief(event) == public.belief(event)
+
+    def test_event_over_another_space(self, coinflip):
+        other = StateSpace(coinflip.model.space.states)  # equal to the mass's space
+        stranger = StateSpace(("x", "y"))
+        public = MassFunction(coinflip.model.space, dict(self.lazy(coinflip).masses))
+        for mass in (self.lazy(coinflip), public):
+            focal = StateSet(coinflip.model.space, max(mass.numerators))
+            assert mass.of(StateSet(other, focal.mask)) == mass.of(focal) != 0
+            assert mass.of(stranger.full()) == 0
+            assert isinstance(mass.of(stranger.full()), Fraction)
+            assert mass.of("H-acc") == 0
+            with pytest.raises(TypeError):
+                mass.of(["H-acc"])
+            with pytest.raises(ModelError, match="^state sets belong to different state spaces$"):
+                mass.belief(stranger.full())
+            assert mass.belief(other.full()) == 1
+
+    def test_pickle_and_deepcopy_round_trip(self, coinflip):
+        space = coinflip.model.space
+        public = MassFunction(
+            space, {space.subset(["H-acc"]): Fraction(1, 3), space.full(): Fraction(2, 3)})
+        for mass in (self.lazy(coinflip), public, MassFunction.vacuous(space)):
+            for twin in (pickle.loads(pickle.dumps(mass)), copy.deepcopy(mass)):
+                assert twin == mass
+                assert repr(twin) == repr(mass)
+                assert twin.items() == mass.items()
 
 
 class TestDempsterCombination:
