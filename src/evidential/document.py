@@ -17,7 +17,10 @@ State order in ``states`` is canonical.  An atom maps every state to an
 interpretation list, or uses the single key ``"*"`` as constant shorthand.
 Weights are rational strings ``"a/b"`` or ``"n"``; floats are rejected so
 no value is ever silently corrupted.  A valuation omitting a state is
-rejected rather than defaulted.
+rejected rather than defaulted.  Loading reads the text once and, when
+``"states"`` precedes ``"atoms"``, validates each atom as it is decoded, so it
+needs memory for the text plus one atom's lists.  Other key orders give the
+same document, and every error is the one that decoding the whole text gives.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .belief import ProbabilityMeasure
 
 __all__ = ["ModelDocument", "parse_document", "load_document"]
 
-_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
+_decode = json.JSONDecoder().raw_decode
 
 
 class ModelDocument(_Value):
@@ -96,6 +101,11 @@ def _parse_members(space: StateSpace, atom: str, raw: object):
 
 def parse_document(data: dict) -> ModelDocument:
     """Validate a decoded JSON object into a model and its measures."""
+    return _document(data)
+
+
+def _document(data: dict, space: "StateSpace | None" = None, atoms: "dict | None" = None) -> ModelDocument:
+    """The checks of parse_document, in its order; a given ``space`` and ``atoms`` are used as built."""
     if not isinstance(data, dict):
         raise ModelError("model document must be a JSON object")
     unknown = set(data) - {"states", "atoms", "measures"}
@@ -103,14 +113,13 @@ def parse_document(data: dict) -> ModelDocument:
         raise ModelError(f"unknown document key: {_shown(sorted(unknown)[0])}")
     if "states" not in data or not isinstance(data["states"], list):
         raise ModelError("document must declare a 'states' list")
-    space = StateSpace(tuple(data["states"]))
+    space = StateSpace(tuple(data["states"])) if space is None else space
 
-    atoms = {}
-    raw_atoms = data.get("atoms", {})
-    if not isinstance(raw_atoms, dict):
-        raise ModelError("'atoms' must be an object")
-    for atom, raw in raw_atoms.items():
-        atoms[atom] = _parse_interpretation(space, atom, raw)
+    if atoms is None:
+        raw_atoms = data.get("atoms", {})
+        if not isinstance(raw_atoms, dict):
+            raise ModelError("'atoms' must be an object")
+        atoms = {atom: _parse_interpretation(space, atom, raw) for atom, raw in raw_atoms.items()}
     model = Model(space, atoms)
 
     measures = {}
@@ -135,14 +144,55 @@ def parse_document(data: dict) -> ModelDocument:
     return ModelDocument(model, measures)
 
 
+def _walk_object(text: str, at: int, member) -> int:
+    """Return the end of the JSON object at ``text[at]``, where ``member(key, start)``
+    decodes each value and returns its end.  Keys must be unique strings."""
+    skip, keys, separator = _WHITESPACE.match, set(), "{"
+    while text.startswith(separator, at):
+        at = skip(text, at + 1).end()
+        if keys or not text.startswith("}", at):  # else the empty object "{}"
+            key, at = _decode(text, at)
+            at = skip(text, at).end()
+            if not isinstance(key, str) or key in keys or not text.startswith(":", at):
+                break
+            keys.add(key)
+            at = skip(text, member(key, skip(text, at + 1).end())).end()
+        if text.startswith("}", at):
+            return at + 1
+        separator = ","
+    raise ValueError("not a walkable object")
+
+
 def load_document(path: "str | Path") -> ModelDocument:
-    """Read and validate a model document from disk."""
+    """Read and validate a model document from disk.  The text is read once; with "states"
+    before "atoms", the load holds one atom's decoded lists at a time (see the module)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelError(f"cannot read model document {str(path)!r}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ModelError(f"model document {str(path)!r} is not UTF-8: {exc}") from None
+    data, space, atoms = {}, None, {}
+
+    def atom(name: str, at: int) -> int:
+        raw, end = _decode(text, at)
+        atoms[name] = _parse_interpretation(space, name, raw)
+        return end
+
+    def member(key: str, at: int) -> int:
+        nonlocal space
+        if key == "atoms" and isinstance(data.get("states"), list):
+            space = StateSpace(data["states"])
+            return _walk_object(text, at, atom)
+        data[key], end = _decode(text, at)
+        return end
+
+    try:
+        end = _walk_object(text, _WHITESPACE.match(text).end(), member)
+        if _WHITESPACE.match(text, end).end() == len(text):
+            return _document(data, space, None if "atoms" in data else atoms)
+    except (ValueError, RecursionError, ModelError):
+        data = atoms = None  # decoding the whole text gives each error its message and precedence
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

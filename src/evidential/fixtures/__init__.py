@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from ..document import ModelDocument, parse_document
+from ..document import ModelDocument, load_document
 
 __all__ = ["coinflip", "FIXTURE_NAMES"]
 
@@ -13,8 +12,8 @@ FIXTURE_NAMES = ("coinflip",)
 
 
 def _load(name: str) -> ModelDocument:
-    text = resources.files(__package__).joinpath(f"{name}.json").read_text(encoding="utf-8")
-    return parse_document(json.loads(text))
+    with resources.as_file(resources.files(__package__).joinpath(f"{name}.json")) as path:
+        return load_document(path)
 
 
 def coinflip() -> ModelDocument:

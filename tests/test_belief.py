@@ -95,6 +95,16 @@ class TestProbabilityMeasure:
         with pytest.raises(ModelError, match="^" + message + "$"):
             ProbabilityMeasure(space, (Fraction(1), Fraction(-1, 10 ** digit_limit())))
 
+    def test_one_weight_per_state_required(self):
+        with pytest.raises(ModelError, match="^measure must weight all 2 states, got 1$"):
+            ProbabilityMeasure(StateSpace(("a", "b")), ["1"])
+
+    @pytest.mark.parametrize("method", ["of", "condition"])
+    def test_event_over_another_space_rejected(self, method):
+        measure = ProbabilityMeasure(StateSpace(("a", "b")), ["1/2", "1/2"])
+        with pytest.raises(ModelError, match="^event is over a different state space$"):
+            getattr(measure, method)(StateSpace(("a", "c")).full())
+
     def test_event_probability(self, coinflip):
         model, pi = coinflip.model, coinflip.measure("pi")
         assert pi.of(model.atom_truth_set("h")) == Fraction(1, 2)
@@ -309,6 +319,10 @@ class TestMassFromEvidence:
 class TestMassFunctionValidation:
     def setup_method(self):
         self.space = StateSpace(("a", "b"))
+
+    def test_entry_over_another_space_rejected(self):
+        with pytest.raises(ModelError, match="^mass entry is over a different state space$"):
+            MassFunction(self.space, {StateSpace(("a", "c")).full(): Fraction(1)})
 
     def test_empty_set_cannot_carry_mass(self):
         with pytest.raises(ModelError, match="empty"):

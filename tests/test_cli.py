@@ -213,6 +213,11 @@ class TestExitCodes:
         code, out, err = invoke(capsys, argv[0], "coinflip", "--measure", "zz", *argv[1:])
         assert (code, out, err) == (2, "", "error: unknown measure: 'zz'\n")
 
+    def test_unterminated_state_set_literal(self, capsys):
+        code, out, err = invoke(capsys, "bel", "coinflip", "--measure", "pi",
+                                "--evidence", "pbar", "--event", "{H-acc")
+        assert (code, out, err) == (2, "", "error: unterminated state set literal: '{H-acc'\n")
+
     def test_unhashable_member_names_itself(self, capsys, tmp_path):
         data = json.loads(open_fixture())
         data["atoms"]["h"] = {"*": [["H-acc"]]}

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from evidential import (
     parse_document,
 )
 from evidential.fixtures import coinflip
+
+import gens
 
 
 def exactly(message):
@@ -255,6 +258,13 @@ class TestDocumentRejections:
         with pytest.raises(ModelError, match="rational"):
             parse_document(data)
 
+    @pytest.mark.parametrize("weight", ["\u0663/\u0661\u0660", "\uff17/10"], ids=["arabic-indic", "fullwidth"])
+    def test_weights_are_ascii_numerals(self, weight):
+        with pytest.raises(ModelError, match=exactly(
+            f"measure 'u', state 'a': expected a rational string like '3/10' or '1', got {weight!r}"
+        )):
+            parse_document(one_state_document(weight))
+
     def test_zero_denominator_rejected(self):
         data = minimal_document()
         data["measures"]["u"]["a"] = "1/0"
@@ -348,6 +358,111 @@ class TestLoadDocument:
         path.write_bytes(b"\xff\xfe{")
         with pytest.raises(ModelError, match="is not UTF-8"):
             load_document(path)
+
+
+def serialized(rng, model, measures):
+    """A document for ``model`` and ``measures``, in a random key order, member
+    order and layout; atoms before states included."""
+    atoms = {}
+    for name, valuation in model.atoms.items():
+        name = rng.choice([name, name, "states", "atoms", "*"])
+        if valuation.is_constant() and rng.random() < 0.5:
+            atoms[name] = {"*": rng.sample(valuation.sets[0].names(), len(valuation.sets[0]))}
+        else:
+            entries = [(state, rng.sample(s.names(), len(s))) for state, s in valuation.items()]
+            atoms[name] = dict(rng.sample(entries, len(entries)))
+    data = {
+        "states": list(model.space.states),
+        "atoms": atoms,
+        "measures": {name: {state: str(w) for state, w in m.items()} for name, m in measures.items()},
+    }
+    keys = [key for key in rng.sample(list(data), 3) if rng.random() < 0.95]
+    return json.dumps({key: data[key] for key in keys}, ensure_ascii=rng.random() < 0.5,
+                      indent=rng.choice([None, 0, 2, "\t"]),
+                      separators=rng.choice([None, (",", ":"), (" ,\r\n", " : ")]))
+
+
+def mutated(rng, text):
+    """``text`` with one seeded fault, or none."""
+    at = rng.randrange(len(text) + 1)
+    span = text[at:at + rng.randint(1, 12)]
+    kind = rng.randrange(8)
+    if kind == 0:
+        return text
+    if kind == 1:
+        return text[:at] + rng.choice(['{', '}', '"', ',', ':', ' ', '[', ']', '1', 'null', '"s0"']) + text[at:]
+    if kind == 2:
+        return text[:at] + text[at + len(span):]
+    if kind == 3:
+        return text[:at] + span + text[at:]
+    if kind == 4:  # a duplicate top-level key
+        return "{" + rng.choice(['"states": ["s0"], ', '"atoms": {}, ', '"measures": {}, ']) + text[1:]
+    if kind == 5 and '"atoms"' in text:  # a duplicate atom key, or an empty atom name
+        brace = text.index("{", text.index('"atoms"')) + 1
+        return text[:brace] + rng.choice(['"p": {"*": []}, ', '"q": 1, ', '"": {"*": []}, ']) + text[brace:]
+    if kind == 6:
+        return text + rng.choice([" ", "\n", "x", "{}", " 1", "\u00a0"])
+    end = text.rindex("}")  # a key after the others, "atoms" included
+    return text[:end] + rng.choice([', "priors": {}', ', "atoms": {}', ', "states": []']) + text[end:]
+
+
+def loaded_or_message(load, *args):
+    try:
+        doc = load(*args)
+    except ModelError as exc:
+        return str(exc)
+    space = doc.model.space
+    assert all(s.space is space for v in doc.model.atoms.values() for s in v.sets)
+    assert all(m.space is space for m in doc.measures.values())
+    return space, list(doc.model.atoms.items()), list(doc.measures.items())
+
+
+def decoded_whole(path):
+    """The document as ``parse_document(json.loads(text))`` reads it."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"invalid JSON in model document {str(path)!r}: {exc}") from None
+    return parse_document(data)
+
+
+def test_load_document_matches_decoding_the_whole_text(tmp_path):
+    rng = random.Random(20261020)
+    path = tmp_path / "model.json"
+    outcomes = {str: 0, tuple: 0}
+    for _ in range(300):
+        space = gens.random_space(rng, 1, 6)
+        model = rng.choice([gens.random_model, gens.coherent_model, gens.constant_model])(rng, space)
+        measures = {name: gens.random_measure(rng, space) for name in rng.sample(["u", "w"], rng.randint(0, 2))}
+        text = serialized(rng, model, measures)
+        for variant in range(5):
+            if variant:
+                text = mutated(rng, text)
+            path.write_text(text, encoding="utf-8")
+            expected = loaded_or_message(decoded_whole, path)
+            assert loaded_or_message(load_document, path) == expected, text
+            outcomes[type(expected)] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_load_holds_one_atom_of_decoded_lists_at_a_time(tmp_path):
+    rng = random.Random(20261021)
+    states = [f"s{i}" for i in range(128)]
+    atoms = {f"a{k}": {s: rng.sample(states, rng.randrange(128)) for s in states} for k in range(8)}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": states, "atoms": atoms}), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    del atoms
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: load_document(path)) < 0.5 * peak(lambda: json.loads(text))
 
 
 class TestBundledFixture:

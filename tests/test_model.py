@@ -150,6 +150,15 @@ class TestStateSet:
         with pytest.raises(ModelError, match=r"^unknown state: \['a'\]$"):
             self.space.subset(["a", ["a"]])
 
+    def test_a_value_of_another_type_is_unequal(self):
+        assert (self.space.full() == 15) is False
+        assert (self.space.full() != self.space.full().mask) is True
+
+    def test_strict_subset_order(self):
+        a, ab = self.space.subset(["a"]), self.space.subset(["a", "b"])
+        assert (a < ab, ab < ab, ab < a, a < self.space.subset(["b"])) == (True, False, False, False)
+        assert (ab > a, ab > ab, a > ab, self.space.subset(["b"]) > a) == (True, False, False, False)
+
 
 @st.composite
 def sized_masks(draw):
@@ -172,6 +181,16 @@ def test_rendering_matches_per_index_enumeration(case):
 
 
 class TestValuation:
+    def test_one_set_per_state_required(self):
+        space = StateSpace(("a", "b"))
+        with pytest.raises(ModelError, match=exactly("valuation must cover all 2 states, got 1")):
+            VariableValuation(space, [space.full()])
+
+    def test_constant_over_another_space_rejected(self):
+        space = StateSpace(("a", "b"))
+        with pytest.raises(ModelError, match=exactly("constant value is over a different state space")):
+            VariableValuation.constant(space, StateSpace(("a", "c")).full())
+
     def test_totality_required(self):
         space = StateSpace(("a", "b"))
         with pytest.raises(ModelError, match="'b'"):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from evidential import (
     EXTENDED,
+    STRICT,
     And,
     Atom,
     Entails,
@@ -229,3 +230,11 @@ class TestStrictModeErrors:
                 continue  # only the truth set of `of` is taken
             with pytest.raises(EntailmentModeError, match=NO_POINTWISE):
                 call(f)
+
+
+@pytest.mark.parametrize("mode", [STRICT, EXTENDED])
+def test_a_value_that_is_not_a_formula_node_is_a_type_error(coinflip, mode):
+    model = coinflip.model
+    for evaluate in (lambda f: truth_set(model, f, mode), lambda f: interpret(model, f, "H-acc", mode)):
+        with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
+            evaluate(And(H, Not("x")))
