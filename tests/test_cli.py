@@ -13,6 +13,7 @@ import pytest
 from evidential import EXTENDED, parse, truth_set
 from evidential.cli import _Output, run
 from evidential.formula import MAX_NESTING
+from make_cli_corpus import CORPUS, generate
 from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
 
@@ -164,6 +165,15 @@ def test_output_renders_equal_values_by_their_own_types():
             out.value("v", value)
         texts = ("1", "True", "1", "1.0") * 2 + ("1",)
         assert out.render() == "".join(f"{prefix}{text}\n" for text in texts)
+
+
+def test_cli_corpus_is_reproduced():
+    committed = CORPUS.read_text(encoding="utf-8").splitlines()
+    generated = generate()
+    for number, (line, now) in enumerate(zip(committed, generated), 1):
+        assert now == line, f"{CORPUS.name} line {number} differs:\ncommitted: {line}\nnow:       {now}"
+    assert len(generated) == len(committed)
+    assert CORPUS.stat().st_size < 500_000
 
 
 class TestModelResolution:
