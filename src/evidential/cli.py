@@ -1,5 +1,9 @@
 """Command-line front end.
 
+A command is added by one entry of ``_COMMANDS``: its help text, its arguments and
+the function that writes its result.  Each argument's entry in ``_ARGUMENTS`` gives its
+kind (a measure name, a formula, an event, or plain text), which decides how ``run`` decodes it.
+
 Exit codes: 0 success, 2 parse/validation error, 3 undefined operation
 (zero-probability conditioning or total conflict), 4 usage error.
 """
@@ -10,22 +14,12 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 
-from . import fixtures
-from .belief import (
-    MassFunction,
-    bel,
-    degree,
-    degree_given,
-    dempster_combine,
-    mass_from_evidence,
-    pointwise_combine,
-    pointwise_condition,
-)
+from . import belief, fixtures
 from .document import ModelDocument, load_document
 from .errors import EvidentialError, ModelError, TotalConflictError, UndefinedConditioningError, _shown
 from .formula import EXTENDED, STRICT, parse
-from .model import StateSet
 from .semantics import interpret, truth_set
 
 EXIT_OK = 0
@@ -40,13 +34,10 @@ EXPLORATORY_BANNER = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        print(f"usage error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _resolve_document(ref: str) -> ModelDocument:
@@ -57,9 +48,13 @@ def _resolve_document(ref: str) -> ModelDocument:
     raise ModelError(f"model {_shown(ref)} is neither a file nor a bundled fixture")
 
 
-def _parse_event(document: ModelDocument, text: str, mode: str) -> StateSet:
-    """An event argument: an inline state set like ``{H-acc,H-sh}``, or a
-    formula whose truth set is taken."""
+def _decode(kind: str, document: ModelDocument, text: str, mode: str):
+    """An argument by its kind: a measure name, a formula, or an event, which is an
+    inline state set like ``{H-acc,H-sh}`` or a formula whose truth set is taken."""
+    if kind == "measure":
+        return document.measure(text)
+    if kind == "formula":
+        return parse(text, mode)
     stripped = text.strip()
     if stripped.startswith("{"):
         if not stripped.endswith("}"):
@@ -97,26 +92,18 @@ class _Output:
             raise EvidentialError("result numeral exceeds the integer digit limit") from None
 
 
-def _emit_mass(out: _Output, mass: MassFunction) -> None:
-    for event, weight in mass.items():
-        out.entry("mass", str(event), weight)
+def _value(key: str, result, out: _Output, document: ModelDocument, *arguments) -> None:
+    """Write ``result(model, *arguments, mode)`` as one value."""
+    out.value(key, result(document.model, *arguments))
 
 
-def _decode_arguments(args, document: ModelDocument) -> None:
-    """Replace the measure name, then each formula, then each event argument
-    by its value, so that every handler gets them decoded and in one order."""
-    given = vars(args)
-    if "measure" in given:
-        given["measure"] = document.measure(given["measure"])
-    for key in ("formula", "of", "given", "evidence", "e1", "e2"):
-        if given.get(key) is not None:
-            given[key] = parse(given[key], args.mode)
-    for key in ("event", "on"):
-        if given.get(key) is not None:
-            given[key] = _parse_event(document, given[key], args.mode)
+def _entries(key: str, result, out: _Output, document: ModelDocument, *arguments) -> None:
+    """Write ``result(model, *arguments, mode)``, a closure, measure or mass, entry by entry."""
+    for label, value in result(document.model, *arguments).items():
+        out.entry(key, str(label), value)
 
 
-def _cmd_check(args, document: ModelDocument, out: _Output) -> None:
+def _check(out: _Output, document: ModelDocument, mode: str) -> None:
     model = document.model
     if out.machine:
         out.value("states", len(model.space))
@@ -131,136 +118,104 @@ def _cmd_check(args, document: ModelDocument, out: _Output) -> None:
             out.entry("coherent", f"atom {atom}", "coherent" if model.is_coherent(atom) else "incoherent")
 
 
-def _cmd_truth_set(args, document: ModelDocument, out: _Output) -> None:
-    out.value("truth_set", truth_set(document.model, args.formula, args.mode))
+def _condition(model, measure, on, mode):
+    return measure if on is None else measure.condition(on)
 
 
-def _cmd_interpret(args, document: ModelDocument, out: _Output) -> None:
-    out.value("interpretation", interpret(document.model, args.formula, args.state, args.mode))
+def _degree(model, measure, of, given, mode):
+    if given is None:
+        return belief.degree(model, measure, of, mode)
+    return belief.degree_given(model, measure, of, given, mode)
 
 
-def _cmd_cohere(args, document: ModelDocument, out: _Output) -> None:
-    closure = document.model.coherence_closure(args.atom)
-    for state, value in closure.items():
-        out.entry("closure", state, value)
+def _combine(model, measure, rule, e1, e2, mode):
+    if rule == "dempster":
+        return belief.dempster_combine(belief.mass_from_evidence(model, measure, e1, mode),
+                                       belief.mass_from_evidence(model, measure, e2, mode))
+    return belief.pointwise_combine(model, measure, e1, e2, mode)
 
 
-def _cmd_condition(args, document: ModelDocument, out: _Output) -> None:
-    measure = args.measure if args.on is None else args.measure.condition(args.on)
-    for state, weight in measure.items():
-        out.entry("weight", state, weight)
-
-
-def _cmd_bel(args, document: ModelDocument, out: _Output) -> None:
-    out.value("bel", bel(document.model, args.measure, args.evidence, args.event, args.mode))
-
-
-def _cmd_degree(args, document: ModelDocument, out: _Output) -> None:
-    if args.given is None:
-        result = degree(document.model, args.measure, args.of, args.mode)
-    else:
-        result = degree_given(document.model, args.measure, args.of, args.given, args.mode)
-    out.value("degree", result)
-
-
-def _cmd_mass(args, document: ModelDocument, out: _Output) -> None:
-    _emit_mass(out, mass_from_evidence(document.model, args.measure, args.evidence, args.mode))
-
-
-def _cmd_combine(args, document: ModelDocument, out: _Output) -> None:
-    if args.rule == "dempster":
-        mass = dempster_combine(
-            mass_from_evidence(document.model, args.measure, args.e1, args.mode),
-            mass_from_evidence(document.model, args.measure, args.e2, args.mode),
-        )
-    else:
-        mass = pointwise_combine(document.model, args.measure, args.e1, args.e2, args.mode)
-    _emit_mass(out, mass)
-
-
-def _cmd_pointwise_condition(args, document: ModelDocument, out: _Output) -> None:
-    result = pointwise_condition(document.model, args.measure, args.of, args.evidence, args.mode)
+def _pointwise_condition(out: _Output, document: ModelDocument, measure, of, evidence, mode) -> None:
+    result = belief.pointwise_condition(document.model, measure, of, evidence, mode)
     out.value("exploratory", "true" if out.machine else EXPLORATORY_BANNER)
     out.value("pointwise_condition", result)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--mode", choices=[STRICT, EXTENDED], default=STRICT,
-                        help="entailment placement mode (default: strict)")
-    common.add_argument("--format", choices=["text", "machine"], default="text",
-                        help="output format; machine is stable key=value lines")
+# Each argument: its kind, which decides how run decodes it, and its argparse options.
+_ARGUMENTS = {
+    "--mode": ("text", {"choices": [STRICT, EXTENDED], "default": STRICT,
+                        "help": "entailment placement mode (default: strict)"}),
+    "--format": ("text", {"choices": ["text", "machine"], "default": "text",
+                          "help": "output format; machine is stable key=value lines"}),
+    "model": ("text", {"help": "path to a model document, or a bundled fixture name"}),
+    "formula": ("formula", {}),
+    "state": ("text", {}),
+    "atom": ("text", {}),
+    "--measure": ("measure", {"required": True}),
+    "--on": ("event", {"help": "formula or {state,...} set to condition on"}),
+    "--evidence": ("formula", {"required": True}),
+    "--event": ("event", {"required": True, "help": "formula or {state,...} set"}),
+    "--of": ("formula", {"required": True}),
+    "--given": ("formula", {}),
+    "--rule": ("text", {"choices": ["dempster", "pointwise"], "required": True}),
+    "--e1": ("formula", {"required": True}),
+    "--e2": ("formula", {"required": True}),
+}
 
+# Each command: its help text, its arguments after --mode, --format and model, and its writer.
+_COMMANDS = {
+    "check": ("validate a model document and report per-atom coherence", (), _check),
+    "truth-set": ("print the states where a formula is true", ("formula",),
+                  partial(_value, "truth_set", truth_set)),
+    "interpret": ("print a formula's interpretation at a state", ("formula", "state"),
+                  partial(_value, "interpretation", interpret)),
+    "cohere": ("print an atom's coherence closure, state by state", ("atom",),
+               partial(_entries, "closure", lambda model, atom, mode: model.coherence_closure(atom))),
+    "condition": ("print a measure, optionally conditioned on an event", ("--measure", "--on"),
+                  partial(_entries, "weight", _condition)),
+    "bel": ("evidentially supported belief in an event", ("--measure", "--evidence", "--event"),
+            partial(_value, "bel", belief.bel)),
+    "degree": ("degree of belief in a formula, optionally conditional", ("--measure", "--of", "--given"),
+               partial(_value, "degree", _degree)),
+    "mass": ("mass function induced by evidence", ("--measure", "--evidence"),
+             partial(_entries, "mass", belief.mass_from_evidence)),
+    "combine": ("combine two bodies of evidence into one mass function",
+                ("--measure", "--rule", "--e1", "--e2"), partial(_entries, "mass", _combine)),
+    "pointwise-condition": ("EXPLORATORY: pointwise conditional degree of belief",
+                            ("--measure", "--of", "--evidence"), _pointwise_condition),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _Parser(add_help=False)  # copying its arguments is quicker than adding them again
+    for argument in ("--mode", "--format", "model"):
+        common.add_argument(argument, **_ARGUMENTS[argument][1])
     parser = _Parser(prog="evidential",
                      description="Variable-meaning semantics and evidentially supported belief.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def command(name, handler, help_text):
+    for name, (help_text, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("model", help="path to a model document, or a bundled fixture name")
-        p.set_defaults(handler=handler)
-        return p
-
-    command("check", _cmd_check, "validate a model document and report per-atom coherence")
-
-    p = command("truth-set", _cmd_truth_set, "print the states where a formula is true")
-    p.add_argument("formula")
-
-    p = command("interpret", _cmd_interpret, "print a formula's interpretation at a state")
-    p.add_argument("formula")
-    p.add_argument("state")
-
-    p = command("cohere", _cmd_cohere, "print an atom's coherence closure, state by state")
-    p.add_argument("atom")
-
-    p = command("condition", _cmd_condition, "print a measure, optionally conditioned on an event")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--on", help="formula or {state,...} set to condition on")
-
-    p = command("bel", _cmd_bel, "evidentially supported belief in an event")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--evidence", required=True)
-    p.add_argument("--event", required=True, help="formula or {state,...} set")
-
-    p = command("degree", _cmd_degree, "degree of belief in a formula, optionally conditional")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--of", required=True)
-    p.add_argument("--given")
-
-    p = command("mass", _cmd_mass, "mass function induced by evidence")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--evidence", required=True)
-
-    p = command("combine", _cmd_combine, "combine two bodies of evidence into one mass function")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--rule", choices=["dempster", "pointwise"], required=True)
-    p.add_argument("--e1", required=True)
-    p.add_argument("--e2", required=True)
-
-    p = command("pointwise-condition", _cmd_pointwise_condition,
-                "EXPLORATORY: pointwise conditional degree of belief")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--of", required=True)
-    p.add_argument("--evidence", required=True)
-
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS[argument][1])
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
+    _, arguments, write = _COMMANDS[args.command]
+    values = [getattr(args, argument.lstrip("-")) for argument in arguments]
     try:
         document = _resolve_document(args.model)
-        _decode_arguments(args, document)
+        for kind in ("measure", "formula", "event"):  # the order in which their errors take precedence
+            for i, argument in enumerate(arguments):
+                if _ARGUMENTS[argument][0] == kind and values[i] is not None:
+                    values[i] = _decode(kind, document, values[i], args.mode)
         out = _Output(machine=args.format == "machine")
-        args.handler(args, document, out)
+        write(out, document, *values, args.mode)
         sys.stdout.write(out.render())
         return EXIT_OK
     except (UndefinedConditioningError, TotalConflictError) as exc:
