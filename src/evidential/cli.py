@@ -33,10 +33,14 @@ EXPLORATORY_BANNER = (
     "surviving weights are not renormalized."
 )
 
+# Escapes for what str.splitlines() breaks at: a usage error, like every error, is one short line.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"usage error: {message}", file=sys.stderr)
+        message = message.translate(_LINE_BREAKS)
+        print("usage error:", message if len(message) <= 200 else message[:197] + "...", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -49,8 +53,7 @@ def _resolve_document(ref: str) -> ModelDocument:
 
 
 def _decode(kind: str, document: ModelDocument, text: str, mode: str):
-    """An argument by its kind: a measure name, a formula, or an event, which is an
-    inline state set like ``{H-acc,H-sh}`` or a formula whose truth set is taken."""
+    """An argument by its kind; an event is an inline set like ``{H-acc,H-sh}`` or a formula."""
     if kind == "measure":
         return document.measure(text)
     if kind == "formula":

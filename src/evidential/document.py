@@ -167,7 +167,9 @@ def load_document(path: "str | Path") -> ModelDocument:
     """Read and validate a model document from disk.  The text is read once; with "states"
     before "atoms", the load holds one atom's decoded lists at a time (see the module)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # No newline translation, so that the (char N) of a JSON error counts the file's characters.
+        with open(path, encoding="utf-8", newline="") as file:
+            text = file.read()
     except OSError as exc:
         raise ModelError(f"cannot read model document {str(path)!r}: {exc}") from None
     except UnicodeDecodeError as exc:

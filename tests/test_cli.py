@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidential import EXTENDED, parse, truth_set
-from evidential.cli import _Output, run
+from evidential.cli import _ARGUMENTS, _COMMANDS, _Output, run
 from evidential.formula import MAX_NESTING
 from make_cli_corpus import CORPUS, generate
+from make_cli_corpus import invoke as invoke_in_process
 from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
 
@@ -406,6 +409,23 @@ class TestExitCodes:
         assert code == 4
         assert "usage error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "coinflip", "a\nb"],
+        ["check", "coinflip", "x" * 100_000],
+        ["check", "coinflip", "--mode", "x" * 100_000],
+        ["x" * 100_000],
+    ], ids=["line-break", "long-unrecognized", "long-mode", "long-command"])
+    def test_usage_error_is_one_short_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("usage error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+        assert len(err.encode()) < 300
+
+    def test_short_usage_error_is_kept_whole(self, capsys):
+        for argument, shown in (("extra", "extra"), ("a\r\nb\u2028", "a\\r\\nb\\u2028")):
+            assert invoke(capsys, "check", "coinflip", argument) == (
+                4, "", f"usage error: unrecognized arguments: {shown}\n")
+
     def test_usage_error_missing_required(self, capsys):
         code, _, err = invoke(capsys, "bel", "coinflip", "--evidence", "pbar")
         assert code == 4
@@ -437,3 +457,102 @@ class TestMachineDeterminism:
         second = invoke(capsys, *argv, "--format", "machine")
         assert first == second
         assert first[0] == 0
+
+
+# --- fuzzing: no input ends in a traceback or a multi-line error -------------
+
+NAMES = ("coinflip", "pi", "piPrime", "h", "p", "pbar", "a", "H-acc", "T-st", "u", "q", "b", "zz",
+         "strict", "extended", "text", "machine", "dempster", "pointwise", "{H-acc,H-sh}", "{a,b}",
+         "{H-acc", "{}", "--", "-", "")
+JUNK_CHARACTERS = "\n\x00\r\u2028é✓"  # line breaks, NUL and other non-ASCII characters
+FORMULA_CHARACTERS = JUNK_CHARACTERS + "pqhab_0 ~¬&∧|∨->→=⇒(){},\t"  # and the tokenizer's alphabet
+OPTIONS = ("--mode", "--format", "--measure", "--on", "--evidence", "--event", "--of", "--given",
+           "--rule", "--e1", "--e2", "--help", "--zz", "--")
+JUNK = ('[null]', 'null', 'true', '1', '1.5', '-0.0', '"1/0"', '"1/3"', '"x"', '""', '[]', '{}', '[[["a"]]]',
+        '{"*": 1}', '"@HUGE@"')  # as JSON text, so that each draw is a new value
+
+
+def values():
+    return st.one_of(st.sampled_from(NAMES), st.text(FORMULA_CHARACTERS, max_size=24))
+
+
+FORMULAS = st.recursive(
+    st.sampled_from(("p", "q", "h", "a", "pbar")),
+    lambda inner: st.one_of(inner.map("~{}".format),
+                            st.tuples(inner, st.sampled_from(("&", "|", "->", "=>")), inner).map(" ".join)),
+    max_leaves=4)
+SENSIBLE = {  # by the argument's kind
+    "measure": st.sampled_from(("pi", "piPrime", "u")),
+    "formula": FORMULAS,
+    "event": FORMULAS | st.sampled_from(("{a,b}", "{c}", "{H-acc,H-sh}", "{T-st}", "{}")),
+    "text": st.sampled_from(("a", "b", "p", "q", "h", "pbar", "H-acc", "T-sh", "dempster", "pointwise")),
+}
+
+
+@st.composite
+def invocations(draw, model):
+    """A command with its declared arguments, now and then one dropped, and a stray option or value."""
+    command = draw(st.sampled_from([*_COMMANDS, "frobnicate"]))
+    argv = [command, model]
+    for argument in _COMMANDS.get(command, ("", ()))[1]:
+        if draw(st.integers(0, 9)) < 9:
+            value = draw(values() if draw(st.integers(0, 4)) == 4 else SENSIBLE[_ARGUMENTS[argument][0]])
+            argv += [argument, value] if argument.startswith("-") else [value]
+    for option in ("--mode", "--format"):
+        if draw(st.booleans()):
+            choices = _ARGUMENTS[option][1]["choices"]
+            argv += [option, draw(values() if draw(st.integers(0, 9)) == 9 else st.sampled_from(choices))]
+    if draw(st.booleans()):
+        stray = st.sampled_from(OPTIONS) | st.text(JUNK_CHARACTERS, min_size=1, max_size=3) | values()
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return argv
+
+
+def slots(node):
+    """Every (container, key) under ``node``."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return []
+    return [slot for key in keys for slot in [(node, key), *slots(node[key])]]
+
+
+@st.composite
+def documents(draw):
+    """The bytes of a document drawn from the schema in document.py, then mutated:
+    wrong types, missing keys, floats, "1/0", huge numerals, nested lists, bad bytes."""
+    states = draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=3, unique=True))
+    subsets = st.lists(st.sampled_from(states), unique=True)
+    atoms = {}
+    for name in draw(st.lists(st.sampled_from(("p", "q")), unique=True)):
+        atoms[name] = {"*": draw(subsets)} if draw(st.booleans()) else {s: draw(subsets) for s in states}
+    weights = [draw(st.integers(0, 2)) for _ in states]
+    weights[0] += not any(weights)
+    data = {"states": states, "atoms": atoms,
+            "measures": {"u": {s: f"{w}/{sum(weights)}" for s, w in zip(states, weights)}}}
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(slots(data)))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = json.loads(draw(st.sampled_from(JUNK)))
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 1]))).replace('"@HUGE@"', "9" * 5000)
+    raw = text.encode("utf-8")
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.sampled_from([b"", b"", b"\xff", b"\xc3", b"\r\n", b"\x00", b"]"])) + raw[at:]
+
+
+@settings(max_examples=300)
+@given(document=documents(), data=st.data())
+def test_any_input_exits_with_a_known_code_and_at_most_one_error_line(tmp_path_factory, document, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(document)
+    argv = data.draw(invocations(data.draw(st.sampled_from(["coinflip", str(path)]))))
+    code, out, err = invoke_in_process(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.endswith("\n") and len(err.splitlines()) == 1

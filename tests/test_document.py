@@ -346,6 +346,15 @@ class TestLoadDocument:
         with pytest.raises(ModelError, match="invalid JSON"):
             load_document(path)
 
+    def test_crlf_error_offset_counts_the_files_characters(self, tmp_path):
+        path = tmp_path / "crlf.json"
+        text = '{\r\n  "states": ["a"],\r\n  "atoms": {"p": {"*": ["a"]}}\r\n  "measures": {}\r\n}\r\n'
+        path.write_bytes(text.encode("utf-8"))
+        fault = text.index('"measures"')  # no comma before it
+        message = f"invalid JSON in model document {str(path)!r}: Expecting ',' delimiter: line 4 column 3 (char {fault})"
+        with pytest.raises(ModelError, match=exactly(message)):
+            load_document(path)
+
     def test_bare_integer_beyond_the_digit_limit(self, tmp_path):
         path = tmp_path / "long.json"
         path.write_text('{"states": ["a"], "measures": {"u": {"a": %s}}}' % long_numeral())
@@ -420,7 +429,7 @@ def loaded_or_message(load, *args):
 def decoded_whole(path):
     """The document as ``parse_document(json.loads(text))`` reads it."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_bytes().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON in model document {str(path)!r}: {exc}") from None
     return parse_document(data)
