@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from evidential import EXTENDED, parse, truth_set
 from evidential.cli import _ARGUMENTS, _COMMANDS, _Output, run
 from evidential.formula import MAX_NESTING
-from make_cli_corpus import CORPUS, generate
-from make_cli_corpus import invoke as invoke_in_process
+from make_cli_corpus import CORPUS, generate, invoke as invoke_in_process
 from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
 
