@@ -8,8 +8,9 @@ Concrete syntax::
     & and | are left-associative; -> and => are right-associative;
     parentheses override.  Unicode aliases accepted on input:
     ``¬ ∧ ∨ → ⇒``.  Formulas nested deeper than :data:`MAX_NESTING` levels,
-    or inside more open parentheses than that, are a syntax error.  Parsing,
-    printing and the placement check are loops: none of them recurses.
+    or inside more open parentheses than that, are a syntax error.  Parsing
+    and printing are loops; the depth and placement checks walk nothing, as
+    each node records its depth and ``=>`` count when it is built.
 
 Two placement modes govern the entailment connective ``=>``:
 
@@ -44,12 +45,18 @@ EXTENDED = "extended"
 
 
 class Formula(_Value):
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes; each records its depth and ``=>`` count."""
 
-    __slots__ = ()
+    __slots__ = ("_depth", "_entailments")
 
     def __str__(self) -> str:
         return format_formula(self)
+
+
+def _node(f: object) -> Formula:
+    if not isinstance(f, (Atom, Not, _Binary)):
+        raise TypeError(f"not a formula node: {f!r}")
+    return f
 
 
 class Atom(Formula):
@@ -57,21 +64,27 @@ class Atom(Formula):
 
     def __init__(self, name: str):
         _set(self, "name", name)
+        _set(self, "_depth", 0)
+        _set(self, "_entailments", 0)
 
 
 class Not(Formula):
     __slots__ = _fields = ("operand",)
 
     def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
+        _set(self, "operand", _node(operand))
+        _set(self, "_depth", operand._depth + 1)
+        _set(self, "_entailments", operand._entailments)
 
 
 class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set(self, "left", _node(left))
+        _set(self, "right", _node(right))
+        _set(self, "_depth", max(left._depth, right._depth) + 1)
+        _set(self, "_entailments", left._entailments + right._entailments + isinstance(self, Entails))
 
 
 class And(_Binary):
@@ -100,32 +113,12 @@ def check_mode(mode: str) -> None:
 
 
 def contains_entailment(f: Formula) -> bool:
-    return _walk(f)[1] > 0
+    return f._entailments > 0
 
 
 def entailment_misplaced(f: Formula) -> bool:
     """True when entailment occurs other than as the single outermost connective."""
-    return _walk(f)[1] != isinstance(f, Entails)
-
-
-def _walk(f: Formula) -> tuple[int, int]:
-    """The longest path from ``f`` to an atom, and the number of ``=>`` nodes."""
-    depth, entailments = -1, 0
-    level = [f]
-    while level:
-        depth += 1
-        below = []
-        for g in level:
-            if type(g) is Atom:  # a fast path for the commonest leaf
-                continue
-            if isinstance(g, Not):
-                below.append(g.operand)
-            elif isinstance(g, _Binary):
-                if isinstance(g, Entails):
-                    entailments += 1
-                below += g.left, g.right
-        level = below
-    return depth, entailments
+    return f._entailments != isinstance(f, Entails)
 
 
 _TOKEN = re.compile(
@@ -225,8 +218,7 @@ def parse(text: str, mode: str = STRICT) -> Formula:
         elif kind != "end":
             raise FormulaSyntaxError(f"unexpected {_shown(value)} after formula", position)
     f = operands[0]
-    # Every connective is a token, so only long text can nest too deep.
-    if len(tokens) > MAX_NESTING and _walk(f)[0] > MAX_NESTING:
+    if f._depth > MAX_NESTING:
         raise FormulaSyntaxError(_TOO_DEEP)
     if mode == STRICT and entailment_misplaced(f):
         raise NestedEntailmentError(

@@ -1,5 +1,7 @@
 """Formula parsing and printing."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -220,3 +222,51 @@ class TestNestingLimit:
             assert str(f) == text
             with pytest.raises(FormulaSyntaxError, match="^formula nested deeper than 100 levels"):
                 parse(text, EXTENDED)
+
+
+class TestRecordedShape:
+    """Each node records its depth and ``=>`` count when built; neither is a field."""
+
+    def test_depth_and_entailment_count(self):
+        cases = {
+            "p": (0, 0),
+            "~p": (1, 0),
+            "p & q": (1, 0),
+            "p => q": (1, 1),
+            "~(p => q) & r": (3, 1),
+            "(p => q) => (r => ~~p)": (4, 3),
+            "p -> q | ~r & p": (4, 0),
+        }
+        for text, shape in cases.items():
+            f = parse(text, EXTENDED)
+            assert (f._depth, f._entailments) == shape == (depth(f), count_entailments(f)), text
+
+    @given(gens.formulas(allow_entails=True))
+    def test_slots_match_a_walk_and_survive_copies(self, f):
+        for twin in (f, pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert (twin._depth, twin._entailments) == (depth(f), count_entailments(f))
+        assert repr(f).count("_depth") == repr(f).count("_entailments") == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: Not("x"), lambda: And(p, "x"), lambda: Or("x", p), lambda: Implies(p, "x"),
+        lambda: Entails("x", p), lambda: Not(Not("x")),
+    ])
+    def test_a_non_formula_operand_is_refused_when_built(self, build):
+        with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
+            build()
+
+    def test_deep_hand_built_chain_keeps_its_depth(self):
+        f = p
+        for _ in range(5_000):
+            f = Not(f)
+        assert f._depth == 5_000
+        with pytest.raises(FormulaSyntaxError, match="^formula nested deeper than 100 levels$"):
+            parse(format_formula(f), EXTENDED)
+
+
+def count_entailments(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return count_entailments(f.operand)
+    return isinstance(f, Entails) + count_entailments(f.left) + count_entailments(f.right)

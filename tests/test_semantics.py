@@ -1,5 +1,7 @@
 """Pointwise interpretation and truth sets, including meaning entailment."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from evidential import (
     Atom,
     Entails,
     EntailmentModeError,
+    Formula,
     Implies,
     Not,
     Or,
@@ -238,3 +241,12 @@ def test_a_value_that_is_not_a_formula_node_is_a_type_error(coinflip, mode):
     for evaluate in (lambda f: truth_set(model, f, mode), lambda f: interpret(model, f, "H-acc", mode)):
         with pytest.raises(TypeError, match="^not a formula node: 'x'$"):
             evaluate(And(H, Not("x")))
+
+
+@pytest.mark.parametrize("mode", [STRICT, EXTENDED])
+@pytest.mark.parametrize("root", ["x", 5, None, Formula()], ids=repr)
+def test_a_root_that_is_not_a_formula_node_is_a_type_error(coinflip, mode, root):
+    model = coinflip.model
+    for evaluate in (lambda f: truth_set(model, f, mode), lambda f: interpret(model, f, "H-acc", mode)):
+        with pytest.raises(TypeError, match=f"^not a formula node: {re.escape(repr(root))}$"):
+            evaluate(root)
