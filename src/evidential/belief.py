@@ -203,7 +203,8 @@ class MassFunction(_Value):
 
     def belief(self, event: StateSet) -> Fraction:
         """Total mass of all stored subsets of the event."""
-        event._check_space(self)
+        if event.space is not self.space and event.space != self.space:
+            raise ModelError("state sets belong to different state spaces")
         outside = ~event.mask
         return Fraction(sum(n for m, n in self.numerators.items() if not m & outside), self.denominator)
 

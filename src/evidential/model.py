@@ -63,7 +63,7 @@ class StateSpace(_Value):
     def index(self, name: str) -> int:
         try:
             return self._bit[name].bit_length() - 1
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownStateError(name) from None
 
     def table(self, entries: Mapping, decode: Callable[[str, object], object], missing: str) -> tuple:
@@ -143,6 +143,8 @@ class StateSet(_Value):
     __slots__ = _fields = ("space", "mask")
 
     def __init__(self, space: StateSpace, mask: int):
+        if not isinstance(mask, int):
+            raise ModelError(f"set mask must be an int, got {_shown(mask)}")
         if not 0 <= mask < (1 << len(space.states)):
             raise ModelError(f"set mask {mask} out of range for {len(space)} states")
         _set(self, "space", space)
@@ -157,9 +159,14 @@ class StateSet(_Value):
     def __hash__(self) -> int:
         return hash((self.space._hash, self.mask))
 
-    def _check_space(self, other: StateSet) -> None:
+    def _check_space(self, other: object) -> bool:
+        """Whether ``other`` is a StateSet, which must be over this space; an
+        operator returns NotImplemented for any other operand."""
+        if other.__class__ is not StateSet:
+            return False
         if self.space is not other.space and self.space != other.space:
             raise ModelError("state sets belong to different state spaces")
+        return True
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and self.mask & self.space._bit.get(name, 0) != 0
@@ -178,32 +185,23 @@ class StateSet(_Value):
         return self.mask != 0
 
     def __and__(self, other: StateSet) -> StateSet:
-        self._check_space(other)
-        return StateSet(self.space, self.mask & other.mask)
+        return StateSet(self.space, self.mask & other.mask) if self._check_space(other) else NotImplemented
 
     def __or__(self, other: StateSet) -> StateSet:
-        self._check_space(other)
-        return StateSet(self.space, self.mask | other.mask)
+        return StateSet(self.space, self.mask | other.mask) if self._check_space(other) else NotImplemented
 
     def __sub__(self, other: StateSet) -> StateSet:
-        self._check_space(other)
-        return StateSet(self.space, self.mask & ~other.mask)
+        return StateSet(self.space, self.mask & ~other.mask) if self._check_space(other) else NotImplemented
 
     def complement(self) -> StateSet:
         return StateSet(self.space, self.mask ^ self.space.full().mask)
 
+    # ``>=`` and ``>`` are these, reflected.
     def __le__(self, other: StateSet) -> bool:
-        self._check_space(other)
-        return self.mask & ~other.mask == 0
+        return self.mask & ~other.mask == 0 if self._check_space(other) else NotImplemented
 
     def __lt__(self, other: StateSet) -> bool:
-        return self <= other and self.mask != other.mask
-
-    def __ge__(self, other: StateSet) -> bool:
-        return other <= self
-
-    def __gt__(self, other: StateSet) -> bool:
-        return other < self
+        return self <= other and self.mask != other.mask if self._check_space(other) else NotImplemented
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)

@@ -159,6 +159,33 @@ class TestStateSet:
         assert (a < ab, ab < ab, ab < a, a < self.space.subset(["b"])) == (True, False, False, False)
         assert (ab > a, ab > ab, a > ab, self.space.subset(["b"]) > a) == (True, False, False, False)
 
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub, operator.le,
+                                    operator.lt, operator.ge, operator.gt])
+    @pytest.mark.parametrize("foreign", [5, frozenset(), frozenset("ab"), None], ids=repr)
+    def test_a_foreign_operand_is_a_type_error(self, op, foreign):
+        ab = self.space.subset(["a", "b"])
+        for left, right in ((ab, foreign), (foreign, ab)):
+            with pytest.raises(TypeError, match="not supported between instances of|unsupported operand"):
+                op(left, right)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.gt])
+    def test_reflected_order_rejects_another_space(self, op):
+        other = StateSpace(("a", "b", "c", "e"))
+        with pytest.raises(ModelError, match="^state sets belong to different state spaces$"):
+            op(self.space.full(), other.full())
+
+    @pytest.mark.parametrize("mask", [1.0, "1", None, [1]], ids=repr)
+    def test_a_mask_that_is_not_an_int_is_refused(self, mask):
+        with pytest.raises(ModelError, match=exactly(f"set mask must be an int, got {mask!r}")):
+            StateSet(self.space, mask)
+
+    @pytest.mark.parametrize("name", [["a"], {"a": 1}, {"a"}], ids=repr)
+    def test_an_unhashable_name_is_an_unknown_state(self, name):
+        with pytest.raises(UnknownStateError, match=exactly(f"unknown state: {name!r}")):
+            self.space.index(name)
+        with pytest.raises(UnknownStateError, match=exactly(f"unknown state: {name!r}")):
+            self.space.singleton(name)
+
 
 @st.composite
 def sized_masks(draw):

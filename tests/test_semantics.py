@@ -29,6 +29,8 @@ from evidential import (
     pointwise_condition,
 )
 
+from evidential.errors import UnknownStateError
+
 import gens
 import oracles
 
@@ -250,3 +252,8 @@ def test_a_root_that_is_not_a_formula_node_is_a_type_error(coinflip, mode, root)
     for evaluate in (lambda f: truth_set(model, f, mode), lambda f: interpret(model, f, "H-acc", mode)):
         with pytest.raises(TypeError, match=f"^not a formula node: {re.escape(repr(root))}$"):
             evaluate(root)
+
+
+def test_an_unhashable_state_is_an_unknown_state(coinflip):
+    with pytest.raises(UnknownStateError, match=r"^unknown state: \['H-acc'\]$"):
+        interpret(coinflip.model, Atom("h"), ["H-acc"])
