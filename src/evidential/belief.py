@@ -25,7 +25,7 @@ from itertools import compress
 from math import lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ModelError, TotalConflictError, UndefinedConditioningError, _set, _Value, _shown
 from .formula import And, Formula, STRICT

@@ -26,10 +26,10 @@ same document, and every error is the one that decoding the whole text gives.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 from .errors import ModelError, UnknownStateError, _set, _Value, _shown
 from .model import Model, StateSpace, VariableValuation
@@ -163,7 +163,7 @@ def _walk_object(text: str, at: int, member) -> int:
     raise ValueError("not a walkable object")
 
 
-def load_document(path: "str | Path") -> ModelDocument:
+def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
     """Read and validate a model document from disk.  The text is read once; with "states"
     before "atoms", the load holds one atom's decoded lists at a time (see the module)."""
     try:

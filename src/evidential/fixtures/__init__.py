@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ..document import ModelDocument, load_document
 
@@ -12,8 +12,7 @@ FIXTURE_NAMES = ("coinflip",)
 
 
 def _load(name: str) -> ModelDocument:
-    with resources.as_file(resources.files(__package__).joinpath(f"{name}.json")) as path:
-        return load_document(path)
+    return load_document(os.path.join(os.path.dirname(__file__), f"{name}.json"))
 
 
 def coinflip() -> ModelDocument:

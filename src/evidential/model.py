@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .errors import ModelError, UnknownAtomError, UnknownStateError, _set, _Value, _shown
 

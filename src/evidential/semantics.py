@@ -23,7 +23,7 @@ Each ``=>`` node is evaluated once per call, by that same fold at every state.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import EntailmentModeError
 from .formula import (
