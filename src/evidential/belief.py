@@ -20,12 +20,12 @@ interpretations indexed by the same underlying state.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import mul
 from types import MappingProxyType
-from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ModelError, TotalConflictError, UndefinedConditioningError, _set, _Value, _shown
 from .formula import And, Formula, STRICT

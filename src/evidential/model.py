@@ -9,9 +9,9 @@ interpretation entails the truth of the proposition it interprets.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import compress
 from types import MappingProxyType
-from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .errors import ModelError, UnknownAtomError, UnknownStateError, _set, _Value, _shown
 
