@@ -113,12 +113,12 @@ def check_mode(mode: str) -> None:
 
 
 def contains_entailment(f: Formula) -> bool:
-    return f._entailments > 0
+    return _node(f)._entailments > 0
 
 
 def entailment_misplaced(f: Formula) -> bool:
     """True when entailment occurs other than as the single outermost connective."""
-    return f._entailments != isinstance(f, Entails)
+    return _node(f)._entailments != isinstance(f, Entails)
 
 
 _TOKEN = re.compile(

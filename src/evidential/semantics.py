@@ -31,10 +31,10 @@ from .formula import (
     Atom,
     Entails,
     Formula,
+    Implies,
     Not,
     Or,
     STRICT,
-    _node,
     check_mode,
     contains_entailment,
     entailment_misplaced,
@@ -60,7 +60,6 @@ def interpretation_masks(model: Model, f: Formula, mode: str, indices: Iterable[
     nested ``=>``.
     """
     check_mode(mode)
-    _node(f)
     if mode == STRICT and contains_entailment(f):
         raise EntailmentModeError(_NO_POINTWISE)
     memo: dict[int, int] = {}
@@ -70,7 +69,6 @@ def interpretation_masks(model: Model, f: Formula, mode: str, indices: Iterable[
 def truth_set(model: Model, f: Formula, mode: str = STRICT) -> StateSet:
     """The set of states where ``f`` is true."""
     check_mode(mode)
-    _node(f)
     if mode == STRICT and entailment_misplaced(f):
         raise EntailmentModeError(_NO_POINTWISE)
     return StateSet(model.space, _fold(model, f, None, {}))
@@ -86,6 +84,8 @@ def _fold(model: Model, f: Formula, at: int | None, memo: dict[int, int]) -> int
         return ((1 << len(model.space)) - 1) ^ _fold(model, f.operand, at, memo)
     if isinstance(f, Entails):
         return _entailment_mask(model, f, memo)
+    if not isinstance(f, (And, Or, Implies)):
+        raise TypeError(f"not a formula node: {f!r}")
     left, right = _fold(model, f.left, at, memo), _fold(model, f.right, at, memo)
     if isinstance(f, And):
         return left & right
