@@ -47,7 +47,7 @@ EXTENDED = "extended"
 class Formula(_Value):
     """Base class for formula AST nodes; each records its depth and ``=>`` count."""
 
-    __slots__ = ("_depth", "_entailments")
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -61,15 +61,15 @@ def _node(f: object) -> Formula:
 
 class Atom(Formula):
     __slots__ = _fields = ("name",)
+    _depth = _entailments = 0
 
     def __init__(self, name: str):
         _set(self, "name", name)
-        _set(self, "_depth", 0)
-        _set(self, "_entailments", 0)
 
 
 class Not(Formula):
-    __slots__ = _fields = ("operand",)
+    __slots__ = ("operand", "_depth", "_entailments")
+    _fields = ("operand",)
 
     def __init__(self, operand: Formula):
         _set(self, "operand", _node(operand))
@@ -78,7 +78,8 @@ class Not(Formula):
 
 
 class _Binary(Formula):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = ("left", "right", "_depth", "_entailments")
+    _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         _set(self, "left", _node(left))
