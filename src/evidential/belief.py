@@ -71,31 +71,34 @@ def _over_common_denominator(values: tuple[Fraction, ...], what: str) -> tuple[t
     return numerators, denominator
 
 
+def _unchecked(cls, space: StateSpace, numerators, denominator: int):
+    """A ``cls`` value of ints already checked: ``numerators`` summing to
+    ``denominator``, for a mass function positive and keyed by nonzero mask."""
+    value = object.__new__(cls)
+    _set(value, "space", space)
+    _set(value, "numerators", numerators)
+    _set(value, "denominator", denominator)
+    return value
+
+
 class ProbabilityMeasure(_Value):
     """Exact nonnegative weights per state, summing to one.
 
-    The weights are kept as int ``numerators`` over one ``denominator``;
-    ``weights`` gives them as Fractions, built the first time it is read.
+    The weights are kept as int ``numerators`` over one ``denominator``, not
+    as the caller's objects; ``weights`` derives them as Fractions on each read.
     """
 
-    __slots__ = ("space", "numerators", "denominator", "_weights")
+    __slots__ = ("space", "numerators", "denominator")
     _fields = ("space", "weights")
 
-    def __init__(self, space: StateSpace, weights: Iterable[object]):
+    def __new__(cls, space: StateSpace, weights: Iterable[object]):
         weights = tuple(_as_fraction(w) for w in weights)
         if len(weights) != len(space):
             raise ModelError(f"measure must weight all {len(space)} states, got {len(weights)}")
         for name, w in zip(space.states, weights):
             if w.numerator < 0:
                 raise ModelError(f"negative weight {_rational(w, 'one')} for state {_shown(name)}")
-        numerators, denominator = _over_common_denominator(weights, "weights")
-        self._fill(space, numerators, denominator, weights)
-
-    def _fill(self, space: StateSpace, numerators: tuple, denominator: int, weights) -> None:
-        _set(self, "space", space)
-        _set(self, "numerators", numerators)
-        _set(self, "denominator", denominator)
-        _set(self, "_weights", weights)
+        return _unchecked(cls, space, *_over_common_denominator(weights, "weights"))
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
@@ -105,10 +108,8 @@ class ProbabilityMeasure(_Value):
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        if self._weights is None:
-            denominator = self.denominator
-            _set(self, "_weights", tuple(Fraction(n, denominator) for n in self.numerators))
-        return self._weights
+        denominator = self.denominator
+        return tuple(Fraction(n, denominator) for n in self.numerators)
 
     def _members(self, event: StateSet) -> bytes:
         if event.space != self.space:
@@ -129,9 +130,8 @@ class ProbabilityMeasure(_Value):
         total = sum(compress(self.numerators, selectors))
         if total == 0:
             raise UndefinedConditioningError(f"cannot condition on event {event} of probability zero")
-        posterior = ProbabilityMeasure.__new__(ProbabilityMeasure)
-        posterior._fill(self.space, tuple(map(mul, self.numerators, selectors)), total, None)
-        return posterior
+        posterior = tuple(map(mul, self.numerators, selectors))
+        return _unchecked(ProbabilityMeasure, self.space, posterior, total)
 
     def items(self) -> Iterator[tuple[str, Fraction]]:
         return zip(self.space.states, self.weights)
@@ -142,14 +142,14 @@ class MassFunction(_Value):
 
     Only nonzero entries are stored; the empty set never carries mass.
     Equality is structural: same space, same sparse entries.  The masses are
-    kept as int ``numerators`` keyed by focal-set mask over one ``denominator``;
-    ``masses`` maps StateSets to Fractions, built the first time it is read.
+    kept as int ``numerators`` keyed by focal-set mask over one ``denominator``,
+    not as the caller's objects; ``masses`` derives its mapping on each read.
     """
 
-    __slots__ = ("space", "numerators", "denominator", "_masses")
+    __slots__ = ("space", "numerators", "denominator")
     _fields = ("space", "masses")
 
-    def __init__(self, space: StateSpace, masses: Mapping[StateSet, object]):
+    def __new__(cls, space: StateSpace, masses: Mapping[StateSet, object]):
         entries = {}
         for event, mass in masses.items():
             if not isinstance(event, StateSet):
@@ -163,34 +163,23 @@ class MassFunction(_Value):
                 continue
             if event.mask == 0:
                 raise ModelError("the empty set cannot carry mass")
-            entries[event] = mass
+            entries[event.mask] = mass
         numerators, denominator = _over_common_denominator(tuple(entries.values()), "masses")
-        self._fill(space, dict(zip((event.mask for event in entries), numerators)), denominator,
-                   MappingProxyType(entries))
-
-    def _fill(self, space: StateSpace, numerators: dict, denominator: int, masses=None) -> MassFunction:
-        """Unchecked: positive ``numerators`` on nonzero masks, summing to ``denominator``."""
-        _set(self, "space", space)
-        _set(self, "numerators", MappingProxyType(numerators))
-        _set(self, "denominator", denominator)
-        _set(self, "_masses", masses)
-        return self
+        return _unchecked(cls, space, MappingProxyType(dict(zip(entries, numerators))), denominator)
 
     def __reduce__(self):
         return type(self), (self.space, dict(self.masses))
 
     @property
     def masses(self) -> Mapping[StateSet, Fraction]:
-        if self._masses is None:
-            space, denominator = self.space, self.denominator
-            _set(self, "_masses", MappingProxyType(
-                {StateSet(space, m): Fraction(n, denominator) for m, n in self.numerators.items()}))
-        return self._masses
+        space, denominator = self.space, self.denominator
+        return MappingProxyType({StateSet(space, m): Fraction(n, denominator)
+                                 for m, n in self.numerators.items()})
 
     @classmethod
     def vacuous(cls, space: StateSpace) -> MassFunction:
         """All mass on the full space: total ignorance."""
-        return cls.__new__(cls)._fill(space, {space.full().mask: 1}, 1)
+        return _unchecked(cls, space, MappingProxyType({space.full().mask: 1}), 1)
 
     def of(self, event: StateSet) -> Fraction:
         if event.__class__ is StateSet and event.space == self.space:
@@ -264,7 +253,7 @@ def mass_from_evidence(
             f"evidence {evidence} has probability zero; belief is undefined")
     groups = _meaning_weights(model, measure, evidence, mode, evidence_set)
     numerators = {m: w for m, w in groups.items() if w}  # no mask is zero: each holds its state
-    return MassFunction.__new__(MassFunction)._fill(model.space, numerators, sum(numerators.values()))
+    return _unchecked(MassFunction, model.space, MappingProxyType(numerators), sum(numerators.values()))
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -273,8 +262,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
         raise ModelError("mass functions are over different state spaces")
     combined: dict[StateSet, Fraction] = {}
     normalizer = Fraction(0)
+    masses2 = m2.masses.items()
     for e1, w1 in m1.masses.items():
-        for e2, w2 in m2.masses.items():
+        for e2, w2 in masses2:
             meet = e1 & e2
             if meet.mask == 0:
                 continue

@@ -14,7 +14,7 @@ import argparse
 import gc
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import belief, fixtures
 from .document import ModelDocument, load_document
@@ -189,6 +189,7 @@ _COMMANDS = {
 }
 
 
+@cache  # once per process: parse_args does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)  # copying its arguments is quicker than adding them again
     for argument in ("--mode", "--format", "model"):

@@ -22,7 +22,7 @@ def _shown(value: object) -> str:
 
 
 class _Value:
-    """An immutable value whose ``_fields``, set once in ``__init__``, decide
+    """An immutable value whose ``_fields``, set once when it is built, decide
     its equality, hash and ``repr``."""
 
     __slots__ = ()
@@ -52,7 +52,7 @@ class _Value:
         return type(self), self._values()
 
 
-_set = object.__setattr__  # how a value class fills its fields in ``__init__``
+_set = object.__setattr__  # how a value class fills its fields when it is built
 
 
 class EvidentialError(Exception):

@@ -301,7 +301,7 @@ class Model:
     def valuation(self, atom: str) -> VariableValuation:
         try:
             return self._atoms[atom]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownAtomError(atom) from None
 
     def atom_truth_set(self, atom: str) -> StateSet:

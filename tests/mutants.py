@@ -48,6 +48,11 @@ MUTANTS = [
      "numerators = {m: w for m, w in groups.items() if w}", "numerators = dict(groups)"),
     ("belief counts sets that leave the event", "belief.py",
      "if not m & outside)", "if m & outside)"),
+    ("weights view without its denominator", "belief.py",
+     "tuple(Fraction(n, denominator) for n in self.numerators)",
+     "tuple(Fraction(n, 1) for n in self.numerators)"),
+    ("masses view without its denominator", "belief.py",
+     "StateSet(space, m): Fraction(n, denominator)", "StateSet(space, m): Fraction(n, 1)"),
     ("degree_given ignores the evidence", "belief.py",
      "return measure.condition(evidence_set).of(", "return measure.of("),
     ("off-by-one in _selectors", "model.py", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]"),

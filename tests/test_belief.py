@@ -372,7 +372,7 @@ class TestMassFunctionValidation:
 
 class TestIntMasses:
     """A mass function keeps int numerators by focal-set mask over one
-    denominator; the StateSet-to-Fraction view is built only when read."""
+    denominator; the StateSet-to-Fraction view is derived on each read."""
 
     @given(gens.spaces(), st.data())
     def test_numerators_and_belief_match_the_oracles(self, space, data):
@@ -391,26 +391,26 @@ class TestIntMasses:
         assert mass.belief(event) == oracles.bel_by_definition(weights, interp, frozenset(event))
         assert oracles.as_mass_dict(mass) == oracles.mass_by_preimage(weights, interp)
 
-    def lazy(self, coinflip, evidence=PBAR):
+    def from_evidence(self, coinflip, evidence=PBAR):
         return mass_from_evidence(coinflip.model, coinflip.measure("pi"), evidence)
 
     @pytest.mark.parametrize("evidence", [PBAR, H, parse("pbar | a")], ids=str)
-    def test_lazy_view_equals_a_publicly_built_mass(self, coinflip, evidence):
+    def test_evidence_built_mass_equals_a_publicly_built_mass(self, coinflip, evidence):
         space = coinflip.model.space
-        public = MassFunction(space, dict(self.lazy(coinflip, evidence).masses))
-        assert self.lazy(coinflip, evidence) == public
-        assert public == self.lazy(coinflip, evidence)
-        assert repr(self.lazy(coinflip, evidence)) == repr(public)
-        assert self.lazy(coinflip, evidence).items() == public.items()
+        public = MassFunction(space, dict(self.from_evidence(coinflip, evidence).masses))
+        assert self.from_evidence(coinflip, evidence) == public
+        assert public == self.from_evidence(coinflip, evidence)
+        assert repr(self.from_evidence(coinflip, evidence)) == repr(public)
+        assert self.from_evidence(coinflip, evidence).items() == public.items()
         for event in space.powerset():
-            assert self.lazy(coinflip, evidence).of(event) == public.of(event)
-            assert self.lazy(coinflip, evidence).belief(event) == public.belief(event)
+            assert self.from_evidence(coinflip, evidence).of(event) == public.of(event)
+            assert self.from_evidence(coinflip, evidence).belief(event) == public.belief(event)
 
     def test_event_over_another_space(self, coinflip):
         other = StateSpace(coinflip.model.space.states)  # equal to the mass's space
         stranger = StateSpace(("x", "y"))
-        public = MassFunction(coinflip.model.space, dict(self.lazy(coinflip).masses))
-        for mass in (self.lazy(coinflip), public):
+        public = MassFunction(coinflip.model.space, dict(self.from_evidence(coinflip).masses))
+        for mass in (self.from_evidence(coinflip), public):
             focal = StateSet(coinflip.model.space, max(mass.numerators))
             assert mass.of(StateSet(other, focal.mask)) == mass.of(focal) != 0
             assert mass.of(stranger.full()) == 0
@@ -422,11 +422,27 @@ class TestIntMasses:
                 mass.belief(stranger.full())
             assert mass.belief(other.full()) == 1
 
+    def test_views_are_derived_on_each_read(self, coinflip):
+        class Marked(StateSet):
+            __slots__ = ()
+
+        space = coinflip.model.space
+        plain = {space.subset(["H-acc"]): Fraction(1, 3), space.full(): Fraction(2, 3)}
+        mass = MassFunction(space, {Marked(space, space.subset(["H-acc"]).mask): Fraction(1, 3),
+                                    space.full(): Fraction(2, 3)})
+        assert mass.masses == plain and mass.masses is not mass.masses
+        assert [type(event) for event in mass.masses] == [StateSet, StateSet]
+        assert mass == MassFunction(space, plain)
+        measure = coinflip.measure("pi")
+        assert measure.weights == measure.weights and measure.weights is not measure.weights
+        for value in (mass, measure):
+            assert type(value).__slots__ == ("space", "numerators", "denominator")
+
     def test_pickle_and_deepcopy_round_trip(self, coinflip):
         space = coinflip.model.space
         public = MassFunction(
             space, {space.subset(["H-acc"]): Fraction(1, 3), space.full(): Fraction(2, 3)})
-        for mass in (self.lazy(coinflip), public, MassFunction.vacuous(space)):
+        for mass in (self.from_evidence(coinflip), public, MassFunction.vacuous(space)):
             for twin in (pickle.loads(pickle.dumps(mass)), copy.deepcopy(mass)):
                 assert twin == mass
                 assert repr(twin) == repr(mass)

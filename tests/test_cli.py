@@ -307,8 +307,10 @@ class TestExitCodes:
         assert err == f"error: unexpected '{'y' * 56}... after formula (at position 3)\n"
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        code = "import sys, evidential.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        # nor typing, pathlib or importlib.resources; -S keeps site hooks from adding any
+        modules = "{'dataclasses', 'inspect', 'typing', 'pathlib', 'importlib.resources'}"
+        code = f"import sys, evidential.cli; print(sorted({modules} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                                 env=subprocess_env(), check=True)
         assert result.stdout == "[]\n"
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evidential import (
+    Atom,
     Model,
     ModelError,
     StateSet,
@@ -15,6 +16,7 @@ from evidential import (
     UnknownAtomError,
     VariableValuation,
     lift_event,
+    truth_set,
 )
 from evidential.errors import UnknownStateError
 
@@ -339,6 +341,13 @@ class TestCoinflipGolden:
     def test_unknown_atom(self, coinflip):
         with pytest.raises(UnknownAtomError, match="'nope'"):
             coinflip.model.valuation("nope")
+
+    def test_unhashable_atom_name_is_unknown(self, coinflip):
+        model = coinflip.model
+        for query in (lambda: truth_set(model, Atom(["p"])), lambda: model.is_coherent(["p"]),
+                      lambda: model.atom_truth_set(["p"])):
+            with pytest.raises(UnknownAtomError, match=exactly("unknown atom: ['p']")):
+                query()
 
 
 class TestLiftEvent:

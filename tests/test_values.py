@@ -26,8 +26,8 @@ THIRDS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
 def values():
     """Two separately built copies of one value of each hashable class; then a
-    conditioned measure, which keeps int numerators and builds its Fractions
-    only when they are read, with the measure built from those Fractions."""
+    conditioned measure, which keeps int numerators and derives its Fractions
+    on each read, with the measure built from those Fractions."""
     def build():
         space = StateSpace(("a", "b", "c"))
         return [
