@@ -78,25 +78,22 @@ def _parse_interpretation(space: StateSpace, atom: str, raw: object) -> Variable
     where = f"atom {_shown(atom)}"
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: interpretation must be an object")
-    if "*" in raw:
-        if len(raw) != 1:
-            raise ModelError(f"{where}: '*' shorthand cannot be mixed with per-state entries")
-        return VariableValuation.constant(space, _parse_members(space, atom, raw["*"]))
+    if "*" in raw and len(raw) != 1:
+        raise ModelError(f"{where}: '*' shorthand cannot be mixed with per-state entries")
     try:
-        sets = space.table(raw, lambda state, members: _parse_members(space, atom, members),
+        if "*" in raw:
+            return VariableValuation.constant(space, _parse_members(where, space, raw["*"]))
+        sets = space.table(raw, lambda state, members: _parse_members(where, space, members),
                            f"{where}: valuation missing interpretation for state ")
     except UnknownStateError as exc:
         raise ModelError(f"{where}: undeclared state {_shown(exc.name)}") from None
     return VariableValuation(space, sets)
 
 
-def _parse_members(space: StateSpace, atom: str, raw: object):
+def _parse_members(where: str, space: StateSpace, raw: object):
     if not isinstance(raw, list):
-        raise ModelError(f"atom {_shown(atom)}: interpretation values must be lists of states")
-    try:
-        return space.subset(raw)
-    except UnknownStateError as exc:
-        raise ModelError(f"atom {_shown(atom)}: undeclared state {_shown(exc.name)}") from None
+        raise ModelError(f"{where}: interpretation values must be lists of states")
+    return space.subset(raw)
 
 
 def parse_document(data: dict) -> ModelDocument:

@@ -213,10 +213,12 @@ class StateSet(_Value):
 class VariableValuation(_Value):
     """A total map from states to events: each state's correct interpretation.
 
-    ``sets[i]`` is the interpretation at the state with index ``i``.
+    ``sets[i]`` is the interpretation at the state with index ``i``, and
+    ``truth_mask`` is the bit mask of :meth:`truth_set`, computed when the
+    valuation is built.
     """
 
-    __slots__ = ("space", "sets", "_truth_mask")
+    __slots__ = ("space", "sets", "truth_mask")
     _fields = ("space", "sets")
 
     def __init__(self, space: StateSpace, sets: Iterable[StateSet]):
@@ -224,11 +226,13 @@ class VariableValuation(_Value):
         if len(sets) != len(space):
             raise ModelError(f"valuation must cover all {len(space)} states, got {len(sets)}")
         for s in sets:
+            if not isinstance(s, StateSet):
+                raise ModelError(f"valuation sets must be StateSets, got {_shown(s)}")
             if s.space is not space and s.space != space:
                 raise ModelError("valuation contains a set over a different state space")
         _set(self, "space", space)
         _set(self, "sets", sets)
-        _set(self, "_truth_mask", None)
+        _set(self, "truth_mask", sum(s.mask & 1 << i for i, s in enumerate(sets)))
 
     @classmethod
     def from_mapping(cls, space: StateSpace, interp: Mapping[str, Iterable[str]]) -> VariableValuation:
@@ -239,6 +243,8 @@ class VariableValuation(_Value):
     @classmethod
     def constant(cls, space: StateSpace, value: StateSet) -> VariableValuation:
         """The valuation that interprets identically at every state."""
+        if not isinstance(value, StateSet):
+            raise ModelError(f"constant value must be a StateSet, got {_shown(value)}")
         if value.space != space:
             raise ModelError("constant value is over a different state space")
         return cls(space, (value,) * len(space))
@@ -249,21 +255,13 @@ class VariableValuation(_Value):
     def is_constant(self) -> bool:
         return all(s == self.sets[0] for s in self.sets)
 
-    @property
-    def truth_mask(self) -> int:
-        """The bit mask of :meth:`truth_set`, computed once per valuation."""
-        if self._truth_mask is None:
-            _set(self, "_truth_mask", sum(s.mask & 1 << i for i, s in enumerate(self.sets)))
-        return self._truth_mask
-
     def truth_set(self) -> StateSet:
         """The states whose own interpretation contains them."""
         return StateSet(self.space, self.truth_mask)
 
     def is_coherent(self) -> bool:
         """True iff every interpretation is contained in the truth set."""
-        truth = self.truth_set()
-        return all(s <= truth for s in self.sets)
+        return all(s.mask & ~self.truth_mask == 0 for s in self.sets)
 
     def coherence_closure(self) -> VariableValuation:
         """Intersect every interpretation with the truth set.
@@ -285,6 +283,9 @@ class Model:
         for name, valuation in atoms.items():
             if not isinstance(name, str) or not name:
                 raise ModelError(f"atom names must be nonempty strings, got {_shown(name)}")
+            if not isinstance(valuation, VariableValuation):
+                raise ModelError(f"valuation for atom {_shown(name)} must be a VariableValuation, "
+                                 f"got {_shown(valuation)}")
             if valuation.space != space:
                 raise ModelError(f"valuation for atom {_shown(name)} is over a different state space")
         self._space = space

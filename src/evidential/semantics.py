@@ -31,7 +31,6 @@ from .formula import (
     Atom,
     Entails,
     Formula,
-    Implies,
     Not,
     Or,
     STRICT,
@@ -56,11 +55,11 @@ def interpret(model: Model, f: Formula, state: str, mode: str = STRICT) -> State
 def interpretation_masks(model: Model, f: Formula, mode: str, indices: Iterable[int]) -> list[int]:
     """The mask of ``f``'s interpretation at each state index in ``indices``.
 
-    The mode is checked once, and the states share one evaluation of each
-    nested ``=>``.
+    The mode and the root are checked once, and the states share one
+    evaluation of each nested ``=>``.
     """
     check_mode(mode)
-    if mode == STRICT and contains_entailment(f):
+    if contains_entailment(f) and mode == STRICT:
         raise EntailmentModeError(_NO_POINTWISE)
     memo: dict[int, int] = {}
     return [_fold(model, f, i, memo) for i in indices]
@@ -69,7 +68,7 @@ def interpretation_masks(model: Model, f: Formula, mode: str, indices: Iterable[
 def truth_set(model: Model, f: Formula, mode: str = STRICT) -> StateSet:
     """The set of states where ``f`` is true."""
     check_mode(mode)
-    if mode == STRICT and entailment_misplaced(f):
+    if entailment_misplaced(f) and mode == STRICT:
         raise EntailmentModeError(_NO_POINTWISE)
     return StateSet(model.space, _fold(model, f, None, {}))
 
@@ -84,8 +83,6 @@ def _fold(model: Model, f: Formula, at: int | None, memo: dict[int, int]) -> int
         return ((1 << len(model.space)) - 1) ^ _fold(model, f.operand, at, memo)
     if isinstance(f, Entails):
         return _entailment_mask(model, f, memo)
-    if not isinstance(f, (And, Or, Implies)):
-        raise TypeError(f"not a formula node: {f!r}")
     left, right = _fold(model, f.left, at, memo), _fold(model, f.right, at, memo)
     if isinstance(f, And):
         return left & right

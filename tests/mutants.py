@@ -1,9 +1,10 @@
-"""Check that the library corpus and the oracle properties catch faults.
+"""Check that the corpora, the oracle properties and the document tests catch faults.
 
 Each mutant changes one line of ``src/evidential``.  The script copies
 ``src/`` and ``tests/`` to a temporary directory, applies one mutant at a
-time there, and runs the corpus test and the test modules that check the
-library against ``tests/oracles.py``.  A mutant is killed when a test fails.
+time there, and runs the library corpus test, the test modules that check
+the library against ``tests/oracles.py``, the document tests and the CLI
+corpus test.  A mutant is killed when a test fails.
 The unmutated copy must pass first, and each mutant's original text must
 occur exactly once in its file, so that a stale mutant is an error rather
 than a quiet survivor.  The script prints each mutant's fate and exits with
@@ -23,7 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_corpus.py", "tests/test_semantics.py", "tests/test_belief.py",
-         "tests/test_model.py", "tests/test_acceptance.py"]
+         "tests/test_model.py", "tests/test_acceptance.py", "tests/test_document.py",
+         "tests/test_cli.py::test_cli_corpus_is_reproduced"]
 
 # (name, file under src/evidential, original text, mutated text)
 MUTANTS = [
@@ -38,6 +40,10 @@ MUTANTS = [
      "if _fold(model, f.left, i, memo) & ~_fold(model, f.right, i, memo) == 0",
      "if _fold(model, f.left, i, memo) & ~_fold(model, f.right, i, memo) == 0"
      " != _fold(model, f.left, i, memo) ^ _fold(model, f.right, i, memo)"),
+    ("strict mode tested before the placement in truth_set", "semantics.py",
+     "if entailment_misplaced(f) and mode == STRICT:", "if mode == STRICT and entailment_misplaced(f):"),
+    ("strict mode tested before the placement in interpretation_masks", "semantics.py",
+     "if contains_entailment(f) and mode == STRICT:", "if mode == STRICT and contains_entailment(f):"),
     ("an atom's truth mask at every state", "semantics.py",
      "return valuation.truth_mask if at is None else valuation.sets[at].mask",
      "return valuation.truth_mask"),
@@ -57,9 +63,13 @@ MUTANTS = [
      "return measure.condition(evidence_set).of(", "return measure.of("),
     ("off-by-one in _selectors", "model.py", "bin(mask)[:1:-1]", "bin(mask)[:2:-1]"),
     ("off-by-one in truth_mask", "model.py",
-     "enumerate(self.sets)))", "enumerate(self.sets, 1)))"),
+     "enumerate(sets)))", "enumerate(sets, 1)))"),
+    ("no ~ in is_coherent", "model.py", "s.mask & ~self.truth_mask", "s.mask & self.truth_mask"),
     ("coherence closure by union", "model.py",
      "tuple(s & truth for s in self.sets)", "tuple(s | truth for s in self.sets)"),
+    ("an atom's undeclared state without its atom", "document.py",
+     'as exc:\n        raise ModelError(f"{where}: undeclared state',
+     'as exc:\n        raise ModelError(f"undeclared state'),
     ("no + 1 in a negation's depth", "formula.py", "operand._depth + 1", "operand._depth"),
     ("no + 1 in a binary node's depth", "formula.py",
      "max(left._depth, right._depth) + 1", "max(left._depth, right._depth)"),

@@ -413,3 +413,15 @@ def test_model_rejects_empty_atom_name():
     space = StateSpace(("a",))
     with pytest.raises(ModelError):
         Model(space, {"": VariableValuation.constant(space, space.full())})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda space: Model(space, {"p": {"a": ["a"]}}),
+     "valuation for atom 'p' must be a VariableValuation, got {'a': ['a']}"),
+    (lambda space: VariableValuation(space, [space.full(), ["a"]]),
+     "valuation sets must be StateSets, got ['a']"),
+    (lambda space: lift_event(space, {"a"}), "constant value must be a StateSet, got {'a'}"),
+], ids=["Model", "VariableValuation", "lift_event"])
+def test_foreign_values_are_refused_with_one_line_model_errors(build, message):
+    with pytest.raises(ModelError, match=exactly(message)):
+        build(StateSpace(("a", "b")))

@@ -82,12 +82,20 @@ def all_values():
 
 @pytest.mark.parametrize("value", all_values(), ids=list(names(all_values())))
 def test_fields_cannot_be_assigned_or_deleted(value):
-    for name in ("name", "operand", "left", "space", "states", "mask", "sets",
+    for name in ("name", "operand", "left", "space", "states", "mask", "sets", "truth_mask",
                  "weights", "masses", "model", "measures", "other"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+
+
+@pytest.mark.parametrize("index", range(len(all_values())), ids=list(names(all_values())))
+def test_every_slot_is_set_when_a_value_is_built(index):
+    value = all_values()[index]  # built here, so that no earlier read has filled a slot
+    for cls in type(value).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            assert getattr(value, name, None) is not None, f"{cls.__name__}.{name}"
 
 
 def test_repr_text():
