@@ -112,6 +112,8 @@ class ProbabilityMeasure(_Value):
         return tuple(Fraction(n, denominator) for n in self.numerators)
 
     def _members(self, event: StateSet) -> bytes:
+        if not isinstance(event, StateSet):
+            raise ModelError(f"event must be a StateSet, got {_shown(event)}")
         if event.space != self.space:
             raise ModelError("event is over a different state space")
         return _selectors(event.mask)
@@ -167,9 +169,6 @@ class MassFunction(_Value):
         numerators, denominator = _over_common_denominator(tuple(entries.values()), "masses")
         return _unchecked(cls, space, MappingProxyType(dict(zip(entries, numerators))), denominator)
 
-    def __reduce__(self):
-        return type(self), (self.space, dict(self.masses))
-
     @property
     def masses(self) -> Mapping[StateSet, Fraction]:
         space, denominator = self.space, self.denominator
@@ -192,6 +191,8 @@ class MassFunction(_Value):
 
     def belief(self, event: StateSet) -> Fraction:
         """Total mass of all stored subsets of the event."""
+        if not isinstance(event, StateSet):
+            raise ModelError(f"event must be a StateSet, got {_shown(event)}")
         if event.space is not self.space and event.space != self.space:
             raise ModelError("state sets belong to different state spaces")
         outside = ~event.mask
@@ -258,6 +259,9 @@ def mass_from_evidence(
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Dempster's rule: normalized products over all intersecting pairs."""
+    for m in (m1, m2):
+        if not isinstance(m, MassFunction):
+            raise ModelError(f"Dempster's rule combines MassFunctions, got {_shown(m)}")
     if m1.space != m2.space:
         raise ModelError("mass functions are over different state spaces")
     combined: dict[StateSet, Fraction] = {}

@@ -30,6 +30,7 @@ import os
 import re
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 
 from .errors import ModelError, UnknownStateError, _set, _Value, _shown
 from .model import Model, StateSpace, VariableValuation
@@ -43,13 +44,13 @@ _decode = json.JSONDecoder().raw_decode
 
 
 class ModelDocument(_Value):
-    """A parsed model file: the model plus its named measures."""
+    """A parsed model file: the model plus a read-only copy of its named measures."""
 
     __slots__ = _fields = ("model", "measures")
 
     def __init__(self, model: Model, measures: dict[str, ProbabilityMeasure]):
         _set(self, "model", model)
-        _set(self, "measures", measures)
+        _set(self, "measures", MappingProxyType(dict(measures)))
 
     def measure(self, name: str) -> ProbabilityMeasure:
         try:

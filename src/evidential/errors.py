@@ -1,6 +1,7 @@
 """Exception types, and the base of the value classes, shared across the package."""
 
 from math import log10
+from types import MappingProxyType
 
 
 def _shown(value: object) -> str:
@@ -23,7 +24,7 @@ def _shown(value: object) -> str:
 
 class _Value:
     """An immutable value whose ``_fields``, set once when it is built, decide
-    its equality, hash and ``repr``."""
+    its equality, hash, ``repr`` and pickling."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -49,7 +50,7 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(dict(v) if v.__class__ is MappingProxyType else v for v in self._values())
 
 
 _set = object.__setattr__  # how a value class fills its fields when it is built

@@ -11,12 +11,8 @@ __all__ = ["coinflip", "FIXTURE_NAMES"]
 FIXTURE_NAMES = ("coinflip",)
 
 
-def _load(name: str) -> ModelDocument:
-    return load_document(os.path.join(os.path.dirname(__file__), f"{name}.json"))
-
-
 def coinflip() -> ModelDocument:
     """The six-state coin report model: a fair coin, a friend of uncertain
     disposition, and the statement "Heads" under both its naive and its
     coherent reading, with two priors attached."""
-    return _load("coinflip")
+    return load_document(os.path.join(os.path.dirname(__file__), "coinflip.json"))

@@ -96,8 +96,11 @@ class StateSpace(_Value):
         """The event containing exactly the given states.
 
         Raises :class:`UnknownStateError` naming the first value that is not
-        a declared state, hashable or not.
+        a declared state, hashable or not.  A bare string is refused, not read
+        as a list of one-character names.
         """
+        if isinstance(names, str):
+            raise ModelError(f"states must be given as a collection of names, not the string {_shown(names)}")
         bit = self._bit
         mask = 0
         for name in names:
@@ -273,11 +276,13 @@ class VariableValuation(_Value):
         return VariableValuation(self.space, tuple(s & truth for s in self.sets))
 
 
-class Model:
+class Model(_Value):
     """A state space together with named atoms bound to variable valuations.
 
     Immutable after construction; all queries are pure.
     """
+
+    __slots__ = _fields = ("space", "atoms")
 
     def __init__(self, space: StateSpace, atoms: Mapping[str, VariableValuation]):
         for name, valuation in atoms.items():
@@ -288,20 +293,12 @@ class Model:
                                  f"got {_shown(valuation)}")
             if valuation.space != space:
                 raise ModelError(f"valuation for atom {_shown(name)} is over a different state space")
-        self._space = space
-        self._atoms = dict(atoms)
-
-    @property
-    def space(self) -> StateSpace:
-        return self._space
-
-    @property
-    def atoms(self) -> Mapping[str, VariableValuation]:
-        return MappingProxyType(self._atoms)
+        _set(self, "space", space)
+        _set(self, "atoms", MappingProxyType(dict(atoms)))
 
     def valuation(self, atom: str) -> VariableValuation:
         try:
-            return self._atoms[atom]
+            return self.atoms[atom]
         except (KeyError, TypeError):
             raise UnknownAtomError(atom) from None
 

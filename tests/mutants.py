@@ -1,14 +1,15 @@
-"""Check that the corpora, the oracle properties and the document tests catch faults.
+"""Check that the corpora, the oracle properties and the document and value tests catch faults.
 
 Each mutant changes one line of ``src/evidential``.  The script copies
 ``src/`` and ``tests/`` to a temporary directory, applies one mutant at a
 time there, and runs the library corpus test, the test modules that check
-the library against ``tests/oracles.py``, the document tests and the CLI
-corpus test.  A mutant is killed when a test fails.
-The unmutated copy must pass first, and each mutant's original text must
-occur exactly once in its file, so that a stale mutant is an error rather
-than a quiet survivor.  The script prints each mutant's fate and exits with
-status 1 if any survives, 2 if the unmutated copy fails or a mutant is stale.
+the library against ``tests/oracles.py``, the document tests, the
+value-contract tests and the CLI corpus test.  A mutant is killed when a test
+fails.  The unmutated copy must pass first, and each mutant's original
+text must occur exactly once in its file, so that a stale mutant is an
+error rather than a quiet survivor.  The script prints each mutant's fate
+and exits with status 1 if any survives, 2 if the unmutated copy fails or
+a mutant is stale.
 
     python tests/mutants.py
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_corpus.py", "tests/test_semantics.py", "tests/test_belief.py",
          "tests/test_model.py", "tests/test_acceptance.py", "tests/test_document.py",
-         "tests/test_cli.py::test_cli_corpus_is_reproduced"]
+         "tests/test_values.py", "tests/test_cli.py::test_cli_corpus_is_reproduced"]
 
 # (name, file under src/evidential, original text, mutated text)
 MUTANTS = [
@@ -70,6 +71,15 @@ MUTANTS = [
     ("an atom's undeclared state without its atom", "document.py",
      'as exc:\n        raise ModelError(f"{where}: undeclared state',
      'as exc:\n        raise ModelError(f"undeclared state'),
+    ("a Model's fields without its atoms", "model.py",
+     '__slots__ = _fields = ("space", "atoms")', '__slots__ = ("space", "atoms"); _fields = ("space",)'),
+    ("read-only fields pickled as they are", "errors.py",
+     "tuple(dict(v) if v.__class__ is MappingProxyType else v for v in self._values())", "self._values()"),
+    ("a document's measures not copied", "document.py",
+     "MappingProxyType(dict(measures))", "MappingProxyType(measures)"),
+    ("no event check in _members", "belief.py",
+     "-> bytes:\n        if not isinstance(event, StateSet):", "-> bytes:\n        if False:"),
+    ("no string check in subset", "model.py", "if isinstance(names, str):", "if False:"),
     ("no + 1 in a negation's depth", "formula.py", "operand._depth + 1", "operand._depth"),
     ("no + 1 in a binary node's depth", "formula.py",
      "max(left._depth, right._depth) + 1", "max(left._depth, right._depth)"),

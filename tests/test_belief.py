@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -596,6 +597,21 @@ class TestPointwiseConditioning:
         measure = ProbabilityMeasure(space, (Fraction(1), Fraction(0)))
         with pytest.raises(ModelError, match="^measure is over a different state space$"):
             pointwise_condition(coinflip.model, measure, H, PBAR)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda doc, pi, mass: pi.of("h"), "event must be a StateSet, got 'h'"),
+    (lambda doc, pi, mass: pi.condition({"H-acc"}), "event must be a StateSet, got {'H-acc'}"),
+    (lambda doc, pi, mass: mass.belief(["H-acc"]), "event must be a StateSet, got ['H-acc']"),
+    (lambda doc, pi, mass: bel(doc.model, pi, PBAR, "h"), "event must be a StateSet, got 'h'"),
+    (lambda doc, pi, mass: dempster_combine(mass, "x"), "Dempster's rule combines MassFunctions, got 'x'"),
+    (lambda doc, pi, mass: dempster_combine(pi, mass),
+     "Dempster's rule combines MassFunctions, got ProbabilityMeasure(space=StateSpace(states=('H-acc', 'H-s..."),
+], ids=["of", "condition", "belief", "bel", "dempster-right", "dempster-left"])
+def test_a_foreign_event_or_operand_is_refused(coinflip, call, message):
+    pi = coinflip.measure("pi")
+    with pytest.raises(ModelError, match="^" + re.escape(message) + "$"):
+        call(coinflip, pi, mass_from_evidence(coinflip.model, pi, PBAR))
 
 
 class TestBeliefProperties:

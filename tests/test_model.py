@@ -152,6 +152,14 @@ class TestStateSet:
         with pytest.raises(ModelError, match=r"^unknown state: \['a'\]$"):
             self.space.subset(["a", ["a"]])
 
+    def test_a_bare_string_is_not_a_list_of_names(self):
+        with pytest.raises(ModelError, match=exactly(
+                "states must be given as a collection of names, not the string 'ab'")):
+            StateSpace(("a", "b")).subset("ab")
+        with pytest.raises(ModelError, match=exactly(
+                "states must be given as a collection of names, not the string 's1'")):
+            VariableValuation.from_mapping(StateSpace(["s1", "s2"]), {"s1": "s1", "s2": ["s2"]})
+
     def test_a_value_of_another_type_is_unequal(self):
         assert (self.space.full() == 15) is False
         assert (self.space.full() != self.space.full().mask) is True

@@ -1,5 +1,6 @@
-"""The value-class contract: structural equality, hashing, immutability, repr."""
+"""The value-class contract: structural equality, hashing, pickling, immutability, repr."""
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from evidential import (
     Entails,
     Implies,
     MassFunction,
+    Model,
+    ModelDocument,
     Not,
     Or,
     ProbabilityMeasure,
@@ -77,13 +80,13 @@ def test_equal_values_hash_alike_and_survive_pickling(pair):
 def all_values():
     document = coinflip()
     first = [first for first, _ in values()]
-    return first + [MassFunction.vacuous(SPACE), document]
+    return first + [MassFunction.vacuous(SPACE), document.model, document]
 
 
 @pytest.mark.parametrize("value", all_values(), ids=list(names(all_values())))
 def test_fields_cannot_be_assigned_or_deleted(value):
     for name in ("name", "operand", "left", "space", "states", "mask", "sets", "truth_mask",
-                 "weights", "masses", "model", "measures", "other"):
+                 "weights", "masses", "atoms", "model", "measures", "other"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -112,9 +115,38 @@ def test_repr_text():
     )
 
 
-def test_mass_functions_and_documents_are_unhashable():
+def test_mass_functions_models_and_documents_are_unhashable():
     with pytest.raises(TypeError):
         hash(MassFunction.vacuous(SPACE))
     with pytest.raises(TypeError):
+        hash(coinflip().model)
+    with pytest.raises(TypeError):
         hash(coinflip())
     assert MassFunction.vacuous(SPACE) == MassFunction.vacuous(StateSpace(("a", "b", "c")))
+
+
+def model():
+    space = StateSpace(("a", "b", "c"))
+    return Model(space, {"p": VariableValuation.constant(space, space.subset(["b"]))})
+
+
+def test_models_and_documents_are_equal_by_their_fields():
+    assert model() == model()
+    assert coinflip() == coinflip()
+    assert coinflip().model == coinflip().model
+    for value in (model(), coinflip().model, coinflip()):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert model() != Model(SPACE, {})
+
+
+def test_models_and_documents_hold_read_only_copies():
+    document = coinflip()
+    with pytest.raises(TypeError):
+        document.measures["pi"] = document.measure("piPrime")
+    with pytest.raises(TypeError):
+        document.model.atoms["p"] = document.model.valuation("h")
+    measures = {"pi": document.measure("pi")}
+    built = ModelDocument(document.model, measures)
+    measures["pi"] = document.measure("piPrime")
+    assert dict(built.measures) == {"pi": document.measure("pi")}
