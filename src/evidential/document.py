@@ -18,9 +18,10 @@ interpretation list, or uses the single key ``"*"`` as constant shorthand.
 Weights are rational strings ``"a/b"`` or ``"n"``; floats are rejected so
 no value is ever silently corrupted.  A valuation omitting a state is
 rejected rather than defaulted.  Loading reads the text once and, when
-``"states"`` precedes ``"atoms"``, validates each atom as it is decoded, so it
-needs memory for the text plus one atom's lists.  Other key orders give the
-same document, and every error is the one that decoding the whole text gives.
+``"states"`` precedes ``"atoms"``, decodes each distinct member-list text of an
+atom once, so it needs memory for the text plus one atom's distinct list texts.
+Other key orders give the same document, and every error is the one that
+decoding the whole text gives.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
@@ -40,7 +42,9 @@ __all__ = ["ModelDocument", "parse_document", "load_document"]
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
-_decode = json.JSONDecoder().raw_decode
+# A separator, then a key up to its colon: a key holding an escape still needs decoding.
+_KEY = re.compile(r'[{,][ \t\n\r]*"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"[ \t\n\r]*:[ \t\n\r]*')
+_decode = json.JSONDecoder().scan_once  # raw_decode's scanner: (value, end), or StopIteration if no value
 
 
 class ModelDocument(_Value):
@@ -48,7 +52,15 @@ class ModelDocument(_Value):
 
     __slots__ = _fields = ("model", "measures")
 
-    def __init__(self, model: Model, measures: dict[str, ProbabilityMeasure]):
+    def __init__(self, model: Model, measures: Mapping[str, ProbabilityMeasure]):
+        if not isinstance(model, Model) or not isinstance(measures, Mapping):
+            raise ModelError(f"a document holds a Model and a mapping of measures, "
+                             f"got {_shown(model)} and {_shown(measures)}")
+        for name, measure in measures.items():
+            if not (isinstance(name, str) and name and isinstance(measure, ProbabilityMeasure)
+                    and measure.space == model.space):
+                raise ModelError(f"a document maps nonempty names to measures over its space, "
+                                 f"got {_shown(name)}: {_shown(measure)}")
         _set(self, "model", model)
         _set(self, "measures", MappingProxyType(dict(measures)))
 
@@ -147,14 +159,17 @@ def _walk_object(text: str, at: int, member) -> int:
     decodes each value and returns its end.  Keys must be unique strings."""
     skip, keys, separator = _WHITESPACE.match, set(), "{"
     while text.startswith(separator, at):
-        at = skip(text, at + 1).end()
-        if keys or not text.startswith("}", at):  # else the empty object "{}"
-            key, at = _decode(text, at)
-            at = skip(text, at).end()
-            if not isinstance(key, str) or key in keys or not text.startswith(":", at):
+        match = _KEY.match(text, at)
+        if match is None:
+            at = skip(text, at + 1).end()
+            if keys or not text.startswith("}", at):
                 break
-            keys.add(key)
-            at = skip(text, member(key, skip(text, at + 1).end())).end()
+            return at + 1  # the empty object "{}"
+        key = match[1] if "\\" not in match[1] else _decode(f'"{match[1]}"', 0)[0]
+        if key in keys:
+            break
+        keys.add(key)
+        at = skip(text, member(key, match.end())).end()
         if text.startswith("}", at):
             return at + 1
         separator = ","
@@ -163,7 +178,7 @@ def _walk_object(text: str, at: int, member) -> int:
 
 def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
     """Read and validate a model document from disk.  The text is read once; with "states"
-    before "atoms", the load holds one atom's decoded lists at a time (see the module)."""
+    before "atoms", the load holds one atom's distinct list texts at a time (see the module)."""
     try:
         # No newline translation, so that the (char N) of a JSON error counts the file's characters.
         with open(path, encoding="utf-8", newline="") as file:
@@ -175,7 +190,20 @@ def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
     data, space, atoms = {}, None, {}
 
     def atom(name: str, at: int) -> int:
-        raw, end = _decode(text, at)
+        raw, lists = {}, {}  # lists: each distinct member-list text of this atom -> its decoded list
+
+        def entry(state: str, at: int) -> int:
+            close = text.find("]", at) + 1 if text.startswith("[", at) else at
+            listed = text[at:close]
+            if listed not in lists:
+                raw[state], end = _decode(text, at)
+                if end != close or raw[state].__class__ is not list:  # a "]" in a name, or no list
+                    return end
+                lists[listed] = raw[state]
+            raw[state] = lists[listed]
+            return close
+
+        end = _walk_object(text, at, entry)
         atoms[name] = _parse_interpretation(space, name, raw)
         return end
 
@@ -191,7 +219,7 @@ def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
         end = _walk_object(text, _WHITESPACE.match(text).end(), member)
         if _WHITESPACE.match(text, end).end() == len(text):
             return _document(data, space, None if "atoms" in data else atoms)
-    except (ValueError, RecursionError, ModelError):
+    except (ValueError, StopIteration, RecursionError, ModelError):
         data = atoms = None  # decoding the whole text gives each error its message and precedence
     try:
         data = json.loads(text)

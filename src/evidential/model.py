@@ -83,7 +83,7 @@ class StateSpace(_Value):
                 earlier, result = seen.get(memo, (None, None))
             except TypeError:  # an unhashable end item: decode the list, keep nothing
                 earlier = memo = None
-            if earlier is None or earlier != value:
+            if earlier is None or earlier is not value and earlier != value:
                 result = decode(key, value)
                 if memo is not None:
                     seen[memo] = value, result
@@ -285,6 +285,8 @@ class Model(_Value):
     __slots__ = _fields = ("space", "atoms")
 
     def __init__(self, space: StateSpace, atoms: Mapping[str, VariableValuation]):
+        if not isinstance(space, StateSpace) or not isinstance(atoms, Mapping):
+            raise ModelError(f"model needs a StateSpace and a mapping, got {_shown(space)}, {_shown(atoms)}")
         for name, valuation in atoms.items():
             if not isinstance(name, str) or not name:
                 raise ModelError(f"atom names must be nonempty strings, got {_shown(name)}")

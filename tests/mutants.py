@@ -80,6 +80,13 @@ MUTANTS = [
     ("no event check in _members", "belief.py",
      "-> bytes:\n        if not isinstance(event, StateSet):", "-> bytes:\n        if False:"),
     ("no string check in subset", "model.py", "if isinstance(names, str):", "if False:"),
+    ("no space check in Model", "model.py",
+     "if not isinstance(space, StateSpace) or not isinstance(atoms, Mapping):",
+     "if not isinstance(atoms, Mapping):"),
+    ("a list memoised though its decode ran past the slice's ]", "document.py",
+     "if end != close or raw[state].__class__ is not list:", "if raw[state].__class__ is not list:"),
+    ("a backslashed key taken verbatim", "document.py",
+     """key = match[1] if "\\\\" not in match[1] else _decode(f'"{match[1]}"', 0)[0]""", "key = match[1]"),
     ("no + 1 in a negation's depth", "formula.py", "operand._depth + 1", "operand._depth"),
     ("no + 1 in a binary node's depth", "formula.py",
      "max(left._depth, right._depth) + 1", "max(left._depth, right._depth)"),

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from evidential import (
+    Model,
+    ModelDocument,
     ModelError,
     ProbabilityMeasure,
     StateSpace,
@@ -17,6 +19,8 @@ from evidential import (
     load_document,
     parse_document,
 )
+from evidential import document
+from evidential.errors import _shown
 from evidential.fixtures import coinflip
 
 import gens
@@ -329,6 +333,24 @@ class TestDocumentRejections:
             doc.measure("missing")
 
 
+def test_a_document_is_a_model_and_measures_over_its_space():
+    doc = coinflip()
+    model, pi, other = doc.model, doc.measure("pi"), ProbabilityMeasure(StateSpace(["a"]), [1])
+    holds = "a document holds a Model and a mapping of measures, got "
+    maps = "a document maps nonempty names to measures over its space, got "
+    for args, message in [
+        (("x", {}), holds + "'x' and {}"),
+        ((model, [1]), holds + f"{_shown(model)} and [1]"),
+        ((model, {"pi": 3}), maps + "'pi': 3"),
+        ((model, {"": pi}), maps + f"'': {_shown(pi)}"),
+        ((model, {1: pi}), maps + f"1: {_shown(pi)}"),
+        ((model, {"u": other}), maps + f"'u': {_shown(other)}"),
+    ]:
+        with pytest.raises(ModelError, match=exactly(message)):
+            ModelDocument(*args)
+    assert ModelDocument(model, {"pi": pi}).measure("pi") is pi
+
+
 class TestLoadDocument:
     def test_load_from_disk(self, tmp_path):
         path = tmp_path / "model.json"
@@ -369,26 +391,49 @@ class TestLoadDocument:
             load_document(path)
 
 
+def pooled_model(rng, space):
+    """Atoms whose readings are drawn from two events that every atom shares."""
+    pool = [gens.random_set(rng, space) for _ in range(2)]
+    return Model(space, {name: VariableValuation(space, [rng.choice(pool) for _ in space])
+                         for name in gens.ATOM_NAMES})
+
+
 def serialized(rng, model, measures):
     """A document for ``model`` and ``measures``, in a random key order, member
-    order and layout; atoms before states included."""
+    order and layout; atoms before states included.  State names may hold a "]",
+    a "," or characters that JSON escapes; member lists may be pooled, each set
+    written alike wherever it occurs; and keys may be written with escapes."""
+    affixes = ["", "]", "],", ",", '"', "\\", "\u00e9", "\u2603"] if rng.random() < 0.5 else [""]
+    name = {state: rng.choice(affixes) + state + rng.choice(affixes) for state in model.space.states}
+    pooled, orders = rng.random() < 0.5, {}  # when pooled, each set's mask -> its one member order
+
+    def members(s):
+        order = rng.sample([name[state] for state in s], len(s))
+        return orders.setdefault(s.mask, order) if pooled else order
+
     atoms = {}
-    for name, valuation in model.atoms.items():
-        name = rng.choice([name, name, "states", "atoms", "*"])
+    for atom, valuation in model.atoms.items():
+        atom = rng.choice([atom, atom, "states", "atoms", "*"])
         if valuation.is_constant() and rng.random() < 0.5:
-            atoms[name] = {"*": rng.sample(valuation.sets[0].names(), len(valuation.sets[0]))}
+            atoms[atom] = {"*": members(valuation.sets[0])}
         else:
-            entries = [(state, rng.sample(s.names(), len(s))) for state, s in valuation.items()]
-            atoms[name] = dict(rng.sample(entries, len(entries)))
+            entries = [(name[state], members(s)) for state, s in valuation.items()]
+            atoms[atom] = dict(rng.sample(entries, len(entries)))
     data = {
-        "states": list(model.space.states),
+        "states": [name[state] for state in model.space.states],
         "atoms": atoms,
-        "measures": {name: {state: str(w) for state, w in m.items()} for name, m in measures.items()},
+        "measures": {m: {name[state]: str(w) for state, w in measure.items()} for m, measure in measures.items()},
     }
     keys = [key for key in rng.sample(list(data), 3) if rng.random() < 0.95]
-    return json.dumps({key: data[key] for key in keys}, ensure_ascii=rng.random() < 0.5,
+    text = json.dumps({key: data[key] for key in keys}, ensure_ascii=rng.random() < 0.5,
                       indent=rng.choice([None, 0, 2, "\t"]),
                       separators=rng.choice([None, (",", ":"), (" ,\r\n", " : ")]))
+
+    def escaped(key):  # one character of the key as a \u escape, which json.dumps never writes
+        at = rng.randrange(len(key[1]))
+        return f'"{key[1][:at]}\\u{ord(key[1][at]):04x}{key[1][at + 1:]}"' if rng.random() < 0.5 else key[0]
+
+    return re.sub(r'(?<=[{,\s])"([^"\\]+)"(?=\s*:)', escaped, text) if rng.random() < 0.3 else text
 
 
 def mutated(rng, text):
@@ -441,7 +486,7 @@ def test_load_document_matches_decoding_the_whole_text(tmp_path):
     outcomes = {str: 0, tuple: 0}
     for _ in range(300):
         space = gens.random_space(rng, 1, 6)
-        model = rng.choice([gens.random_model, gens.coherent_model, gens.constant_model])(rng, space)
+        model = rng.choice([gens.random_model, gens.coherent_model, gens.constant_model, pooled_model])(rng, space)
         measures = {name: gens.random_measure(rng, space) for name in rng.sample(["u", "w"], rng.randint(0, 2))}
         text = serialized(rng, model, measures)
         for variant in range(5):
@@ -454,6 +499,16 @@ def test_load_document_matches_decoding_the_whole_text(tmp_path):
     assert min(outcomes.values()) > 300, outcomes
 
 
+def peak(call):
+    """The most memory ``call()`` held at once, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_holds_one_atom_of_decoded_lists_at_a_time(tmp_path):
     rng = random.Random(20261021)
     states = [f"s{i}" for i in range(128)]
@@ -463,15 +518,87 @@ def test_load_holds_one_atom_of_decoded_lists_at_a_time(tmp_path):
     text = path.read_text(encoding="utf-8")
     del atoms
 
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert peak(lambda: load_document(path)) < 0.5 * peak(lambda: json.loads(text))
+
+
+class TestAtomWalk:
+    """Each branch of load_document's walk over an atom's entries, each against
+    decoding the whole text."""
+
+    def load(self, tmp_path, monkeypatch, text):
+        """The outcome of loading ``text``, each member-list text that was decoded
+        on its own, and whether the load fell back to decoding the whole text."""
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        lists, whole = [], []
+        decode, parse = document._decode, document.parse_document
+
+        def counted(s, at):
+            value, end = decode(s, at)
+            if isinstance(value, list):
+                lists.append(s[at:end])
+            return value, end
+
+        monkeypatch.setattr(document, "_decode", counted)
+        monkeypatch.setattr(document, "parse_document", lambda data: whole.append(data) or parse(data))
+        outcome = loaded_or_message(load_document, path)
+        assert outcome == loaded_or_message(decoded_whole, path)
+        return outcome, lists, bool(whole)
+
+    def test_a_repeated_list_text_is_decoded_once_an_atom(self, tmp_path, monkeypatch):
+        text = ('{"states": ["s0", "s1", "s2"], "atoms": {'
+                '"p": {"s0": ["s0", "s1"], "s1": ["s2"], "s2": ["s0", "s1"]}, '
+                '"q": {"s0": ["s0", "s1"], "s1": ["s0", "s1"], "s2": ["s0", "s1"]}}}')
+        (space, atoms, _), lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert not whole
+        assert lists.count('["s0", "s1"]') == 2 and lists.count('["s2"]') == 1
+        p = dict(atoms)["p"]
+        assert p.sets[0] is p.sets[2] and p.sets[0].names() == ("s0", "s1")
+
+    def test_a_new_list_text_is_decoded_even_for_a_set_seen_before(self, tmp_path, monkeypatch):
+        text = '{"states": ["s0", "s1"], "atoms": {"p": {"s0": ["s0", "s1"], "s1": ["s1", "s0"]}}}'
+        (space, atoms, _), lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert not whole
+        assert lists == ['["s0", "s1"]', '["s0", "s1"]', '["s1", "s0"]']  # the states, then p's two
+        assert dict(atoms)["p"].sets == (space.full(), space.full())
+
+    def test_a_list_whose_first_bracket_is_in_a_name_is_decoded_each_time(self, tmp_path, monkeypatch):
+        text = ('{"states": ["x]", "a", "b"], "atoms": {'
+                '"p": {"x]": ["x]", "a"], "a": ["x]", "a"], "b": ["x]", "b"]}}}')
+        (space, atoms, _), lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert not whole
+        assert lists.count('["x]", "a"]') == 2
+        assert [s.names() for s in dict(atoms)["p"].sets] == [("x]", "a"), ("x]", "a"), ("x]", "b")]
+
+    def test_an_escaped_key_is_decoded(self, tmp_path, monkeypatch):
+        text = r'{"st\u0061tes": ["s0", "s1"], "atoms": {"p": {"s\u0030": ["s1"], "s\u0031": ["s0", "s1"]}}}'
+        (space, atoms, _), lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert not whole
+        assert [s.names() for s in dict(atoms)["p"].sets] == [("s1",), ("s0", "s1")]
+
+    @pytest.mark.parametrize("entries, expected", [
+        ('"s0": ["s0"], "s1": [], "s0": ["s1"]', [("s1",), ()]),  # the last entry for "s0" stands
+        ('"s0": ["s0"], "s1": "s1"', "atom 'p': interpretation values must be lists of states"),
+    ], ids=["duplicate-key", "not-a-list"])
+    def test_an_irregular_atom_falls_back_to_the_whole_text(self, tmp_path, monkeypatch, entries, expected):
+        text = '{"states": ["s0", "s1"], "atoms": {"p": {%s}}}' % entries
+        outcome, lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert whole
+        assert (outcome if isinstance(outcome, str) else [s.names() for s in dict(outcome[1])["p"].sets]) == expected
+
+    def test_a_pooled_load_peaks_well_below_decoding_the_whole_text(self, tmp_path):
+        rng = random.Random(20261022)
+        states = [f"s{i}" for i in range(1024)]
+        atoms = {}
+        for k in range(4):
+            pool = [rng.sample(states, rng.randrange(32, 64)) for _ in range(4)]
+            atoms[f"a{k}"] = {state: rng.choice(pool) for state in states}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": states, "atoms": atoms}), encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        del atoms
+        # Reading the file alone peaks near twice its text; one atom's decoded lists come on top.
+        assert peak(lambda: load_document(path)) < peak(lambda: json.loads(text)) / 3
 
 
 class TestBundledFixture:

@@ -429,7 +429,10 @@ def test_model_rejects_empty_atom_name():
     (lambda space: VariableValuation(space, [space.full(), ["a"]]),
      "valuation sets must be StateSets, got ['a']"),
     (lambda space: lift_event(space, {"a"}), "constant value must be a StateSet, got {'a'}"),
-], ids=["Model", "VariableValuation", "lift_event"])
+    (lambda space: Model("abc", {}), "model needs a StateSpace and a mapping, got 'abc', {}"),
+    (lambda space: Model(space, ["p"]),
+     "model needs a StateSpace and a mapping, got StateSpace(states=('a', 'b')), ['p']"),
+], ids=["Model", "VariableValuation", "lift_event", "Model-space", "Model-atoms"])
 def test_foreign_values_are_refused_with_one_line_model_errors(build, message):
     with pytest.raises(ModelError, match=exactly(message)):
         build(StateSpace(("a", "b")))
