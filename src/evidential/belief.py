@@ -58,17 +58,20 @@ def _rational(value: Fraction, what: str) -> str:
         return f"{what} whose numerals exceed the integer digit limit"
 
 
-def _over_common_denominator(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int, ...], int]:
-    """The numerators of ``values`` over the lcm of their denominators, checked
-    to sum to it: one int sum instead of a Fraction addition, each with its own
-    gcd, per value."""
-    denominator = lcm(*(v.denominator for v in values))
-    numerators = tuple(v.numerator * (denominator // v.denominator) for v in values)
+def _over_common_denominator(values: Mapping) -> tuple[dict, int]:
+    """Each value's numerator over the lcm of the values' denominators, by its
+    key, and that lcm."""
+    denominator = lcm(*(v.denominator for v in values.values()))
+    return {key: v.numerator * (denominator // v.denominator) for key, v in values.items()}, denominator
+
+
+def _check_sum(numerators: Iterable[int], denominator: int, what: str) -> None:
+    """Check that ``numerators`` sum to ``denominator``: one int sum instead of
+    a Fraction addition, each with its own gcd, per value."""
     total = sum(numerators)
     if total != denominator:
         got = _rational(Fraction(total, denominator), "a sum")
         raise ModelError(f"{what} must sum to 1, got {got}")
-    return numerators, denominator
 
 
 def _unchecked(cls, space: StateSpace, numerators, denominator: int):
@@ -92,13 +95,21 @@ class ProbabilityMeasure(_Value):
     _fields = ("space", "weights")
 
     def __new__(cls, space: StateSpace, weights: Iterable[object]):
-        weights = tuple(_as_fraction(w) for w in weights)
+        # Each distinct weight object is converted, checked and scaled once: a
+        # document's states share one Fraction per distinct weight text.
+        weights = tuple(weights)
+        distinct = dict(zip(map(id, weights), weights))
+        fractions = dict(zip(distinct, map(_as_fraction, distinct.values())))
         if len(weights) != len(space):
             raise ModelError(f"measure must weight all {len(space)} states, got {len(weights)}")
-        for name, w in zip(space.states, weights):
-            if w.numerator < 0:
-                raise ModelError(f"negative weight {_rational(w, 'one')} for state {_shown(name)}")
-        return _unchecked(cls, space, *_over_common_denominator(weights, "weights"))
+        if any(w.numerator < 0 for w in fractions.values()):
+            for name, w in zip(space.states, map(fractions.__getitem__, map(id, weights))):
+                if w.numerator < 0:
+                    raise ModelError(f"negative weight {_rational(w, 'one')} for state {_shown(name)}")
+        scaled, denominator = _over_common_denominator(fractions)
+        numerators = tuple(map(scaled.__getitem__, map(id, weights)))
+        _check_sum(numerators, denominator, "weights")
+        return _unchecked(cls, space, numerators, denominator)
 
     @classmethod
     def from_weights(cls, space: StateSpace, weights: Mapping[str, object]) -> ProbabilityMeasure:
@@ -166,8 +177,9 @@ class MassFunction(_Value):
             if event.mask == 0:
                 raise ModelError("the empty set cannot carry mass")
             entries[event.mask] = mass
-        numerators, denominator = _over_common_denominator(tuple(entries.values()), "masses")
-        return _unchecked(cls, space, MappingProxyType(dict(zip(entries, numerators))), denominator)
+        numerators, denominator = _over_common_denominator(entries)
+        _check_sum(numerators.values(), denominator, "masses")
+        return _unchecked(cls, space, MappingProxyType(numerators), denominator)
 
     @property
     def masses(self) -> Mapping[StateSet, Fraction]:
@@ -307,18 +319,16 @@ def pointwise_condition(
     """
     of_mask = truth_set(model, of, mode).mask
     groups = _meaning_weights(model, measure, evidence, mode, model.space.full())
-    numerators, denominator = measure.numerators, measure.denominator
-    total = Fraction(0)
-    survived = False
+    numerators = measure.numerators
+    terms = []  # P(of | meaning) * P(meaning is meant) = (inside / probability) * (weight / denominator)
     for meaning, weight in groups.items():
-        # P(of | meaning) * P(meaning is meant) = (inside / probability) * (weight / denominator)
         probability = sum(compress(numerators, _selectors(meaning)))  # zero for the empty meaning
         if probability:
-            survived = True
-            inside = sum(compress(numerators, _selectors(of_mask & meaning)))
-            total += Fraction(inside * weight, probability * denominator)
-    if not survived:
+            terms.append((sum(compress(numerators, _selectors(of_mask & meaning))) * weight, probability))
+    if not terms:
         raise UndefinedConditioningError(
             "every interpretation of the evidence has probability zero or is empty"
         )
-    return total
+    common = lcm(*(probability for _, probability in terms))  # one sum over it, not a Fraction per term
+    return Fraction(sum(product * (common // probability) for product, probability in terms),
+                    common * measure.denominator)

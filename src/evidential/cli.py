@@ -189,8 +189,10 @@ _COMMANDS = {
 }
 
 
-@cache  # once per process: parse_args does not change the parser
-def build_parser() -> argparse.ArgumentParser:
+@cache  # once per process and command: parse_args does not change the parser
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, which parses any arguments that start with it; with
+    no command, of every command, for the program's help and for any other first argument."""
     common = _Parser(add_help=False)  # copying its arguments is quicker than adding them again
     for argument in ("--mode", "--format", "model"):
         common.add_argument(argument, **_ARGUMENTS[argument][1])
@@ -198,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Variable-meaning semantics and evidentially supported belief.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (help_text, arguments, _) in _COMMANDS.items():
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments, _ = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
         for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS[argument][1])
@@ -206,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    argv = list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
     _, arguments, write = _COMMANDS[args.command]

@@ -17,11 +17,9 @@ State order in ``states`` is canonical.  An atom maps every state to an
 interpretation list, or uses the single key ``"*"`` as constant shorthand.
 Weights are rational strings ``"a/b"`` or ``"n"``; floats are rejected so
 no value is ever silently corrupted.  A valuation omitting a state is
-rejected rather than defaulted.  Loading reads the text once and, when
-``"states"`` precedes ``"atoms"``, decodes each distinct member-list text of an
-atom once, so it needs memory for the text plus one atom's distinct list texts.
-Other key orders give the same document, and every error is the one that
-decoding the whole text gives.
+rejected rather than defaulted.  Loading reads the text once; with ``"states"`` before ``"atoms"``,
+it holds one atom's distinct member-list texts at a time and decodes each once.  Any key
+order gives the same document, and every error is the one decoding the whole text gives.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
 # A separator, then a key up to its colon: a key holding an escape still needs decoding.
 _KEY = re.compile(r'[{,][ \t\n\r]*"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"[ \t\n\r]*:[ \t\n\r]*')
+# In an object of lists: from the "]" that ends one list to the "[" that opens the next.
+_NEXT_LIST = re.compile(r"\][ \t\n\r]*" + _KEY.pattern.replace("[{,]", ",", 1) + r"\[")
 _decode = json.JSONDecoder().scan_once  # raw_decode's scanner: (value, end), or StopIteration if no value
 
 
@@ -124,14 +124,12 @@ def _document(data: dict, space: "StateSpace | None" = None, atoms: "dict | None
     if "states" not in data or not isinstance(data["states"], list):
         raise ModelError("document must declare a 'states' list")
     space = StateSpace(tuple(data["states"])) if space is None else space
-
     if atoms is None:
         raw_atoms = data.get("atoms", {})
         if not isinstance(raw_atoms, dict):
             raise ModelError("'atoms' must be an object")
         atoms = {atom: _parse_interpretation(space, atom, raw) for atom, raw in raw_atoms.items()}
     model = Model(space, atoms)
-
     measures = {}
     raw_measures = data.get("measures", {})
     if not isinstance(raw_measures, dict):
@@ -154,9 +152,23 @@ def _document(data: dict, space: "StateSpace | None" = None, atoms: "dict | None
     return ModelDocument(model, measures)
 
 
-def _walk_object(text: str, at: int, member) -> int:
-    """Return the end of the JSON object at ``text[at]``, where ``member(key, start)``
-    decodes each value and returns its end.  Keys must be unique strings."""
+def _walk_object(text: str, at: int, member, raw: "dict | None" = None) -> int:
+    """Return the end of the JSON object at ``text[at]``, whose keys must be unique strings.
+    ``member(key, start)`` returns the end of each value it decodes; the walk decodes the others
+    into ``raw``, two or more lists with no "]" or "}" in a name in C-level passes over the text."""
+    first = _KEY.match(text, at) if member is None and text.startswith("{", at) else None
+    if first and text.startswith("[", first.end()) and _NEXT_LIST.match(text, text.find("]", first.end())):
+        # The first list's text, then each key and its list's text, up to the first "}" and its "]".
+        parts = _NEXT_LIST.split(text[first.end() + 1:(close := text.find("}", at))])
+        parts[-1], bracket, rest = parts[-1].rpartition("]")
+        keys, listed = [first[1], *parts[1::2]], parts[::2]
+        if bracket and not rest.strip(" \t\n\r") and "]" not in "".join(listed):  # each ends at its "]"
+            keys = [_decode(f'"{key}"', 0)[0] for key in keys] if "\\" in "".join(keys) else keys
+            lists = {body: _decode(f"[{body}]", 0)[0] for body in dict.fromkeys(listed)}
+            raw.update(zip(keys, map(lists.__getitem__, listed)))
+            if len(raw) == len(keys):
+                return close + 1
+            raise ValueError("duplicate key")
     skip, keys, separator = _WHITESPACE.match, set(), "{"
     while text.startswith(separator, at):
         match = _KEY.match(text, at)
@@ -169,7 +181,10 @@ def _walk_object(text: str, at: int, member) -> int:
         if key in keys:
             break
         keys.add(key)
-        at = skip(text, member(key, match.end())).end()
+        at = member(key, match.end()) if member else None
+        if at is None:
+            raw[key], at = _decode(text, match.end())
+        at = skip(text, at).end()
         if text.startswith("}", at):
             return at + 1
         separator = ","
@@ -177,8 +192,7 @@ def _walk_object(text: str, at: int, member) -> int:
 
 
 def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
-    """Read and validate a model document from disk.  The text is read once; with "states"
-    before "atoms", the load holds one atom's distinct list texts at a time (see the module)."""
+    """Read and validate a model document from disk, its text read once (see the module)."""
     try:
         # No newline translation, so that the (char N) of a JSON error counts the file's characters.
         with open(path, encoding="utf-8", newline="") as file:
@@ -190,33 +204,19 @@ def load_document(path: "str | os.PathLike[str]") -> ModelDocument:
     data, space, atoms = {}, None, {}
 
     def atom(name: str, at: int) -> int:
-        raw, lists = {}, {}  # lists: each distinct member-list text of this atom -> its decoded list
-
-        def entry(state: str, at: int) -> int:
-            close = text.find("]", at) + 1 if text.startswith("[", at) else at
-            listed = text[at:close]
-            if listed not in lists:
-                raw[state], end = _decode(text, at)
-                if end != close or raw[state].__class__ is not list:  # a "]" in a name, or no list
-                    return end
-                lists[listed] = raw[state]
-            raw[state] = lists[listed]
-            return close
-
-        end = _walk_object(text, at, entry)
+        end = _walk_object(text, at, None, raw := {})
         atoms[name] = _parse_interpretation(space, name, raw)
         return end
 
-    def member(key: str, at: int) -> int:
+    def member(key: str, at: int) -> "int | None":
         nonlocal space
         if key == "atoms" and isinstance(data.get("states"), list):
             space = StateSpace(data["states"])
             return _walk_object(text, at, atom)
-        data[key], end = _decode(text, at)
-        return end
+        return None  # the walk decodes it into data
 
     try:
-        end = _walk_object(text, _WHITESPACE.match(text).end(), member)
+        end = _walk_object(text, _WHITESPACE.match(text).end(), member, data)
         if _WHITESPACE.match(text, end).end() == len(text):
             return _document(data, space, None if "atoms" in data else atoms)
     except (ValueError, StopIteration, RecursionError, ModelError):

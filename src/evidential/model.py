@@ -10,7 +10,8 @@ interpretation entails the truth of the proposition it interprets.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import compress
+from itertools import compress, repeat
+from operator import is_
 from types import MappingProxyType
 
 from .errors import ModelError, UnknownAtomError, UnknownStateError, _set, _Value, _shown
@@ -228,14 +229,16 @@ class VariableValuation(_Value):
         sets = tuple(sets)
         if len(sets) != len(space):
             raise ModelError(f"valuation must cover all {len(space)} states, got {len(sets)}")
-        for s in sets:
+        # One set object at every state, as a constant valuation has, is checked once and is its truth set.
+        shared = all(map(is_, sets, repeat(sets[0])))
+        for s in sets[:1] if shared else sets:
             if not isinstance(s, StateSet):
                 raise ModelError(f"valuation sets must be StateSets, got {_shown(s)}")
             if s.space is not space and s.space != space:
                 raise ModelError("valuation contains a set over a different state space")
         _set(self, "space", space)
         _set(self, "sets", sets)
-        _set(self, "truth_mask", sum(s.mask & 1 << i for i, s in enumerate(sets)))
+        _set(self, "truth_mask", sets[0].mask if shared else sum(s.mask & 1 << i for i, s in enumerate(sets)))
 
     @classmethod
     def from_mapping(cls, space: StateSpace, interp: Mapping[str, Iterable[str]]) -> VariableValuation:

@@ -83,8 +83,19 @@ MUTANTS = [
     ("no space check in Model", "model.py",
      "if not isinstance(space, StateSpace) or not isinstance(atoms, Mapping):",
      "if not isinstance(atoms, Mapping):"),
-    ("a list memoised though its decode ran past the slice's ]", "document.py",
-     "if end != close or raw[state].__class__ is not list:", "if raw[state].__class__ is not list:"),
+    ("an object of lists split though a list's text holds a ]", "document.py",
+     """if bracket and not rest.strip(" \\t\\n\\r") and "]" not in "".join(listed):""",
+     """if bracket and not rest.strip(" \\t\\n\\r"):"""),
+    ("an object of lists walked in one pass though a key repeats", "document.py",
+     "if len(raw) == len(keys):", "if True:"),
+    ("a backslashed key in an object of lists taken verbatim", "document.py",
+     """keys = [_decode(f'"{key}"', 0)[0] for key in keys] if "\\\\" in "".join(keys) else keys""",
+     "keys = keys"),
+    ("no sign check of a measure's distinct weights", "belief.py",
+     "if any(w.numerator < 0 for w in fractions.values()):", "if False:"),
+    ("the parser of another command", "cli.py",
+     "for name in _COMMANDS if command is None else (command,):",
+     "for name in _COMMANDS if command is None else tuple(_COMMANDS)[:1]:"),
     ("a backslashed key taken verbatim", "document.py",
      """key = match[1] if "\\\\" not in match[1] else _decode(f'"{match[1]}"', 0)[0]""", "key = match[1]"),
     ("no + 1 in a negation's depth", "formula.py", "operand._depth + 1", "operand._depth"),

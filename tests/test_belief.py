@@ -66,6 +66,17 @@ class TestProbabilityMeasure:
         with pytest.raises(ModelError, match="negative"):
             ProbabilityMeasure.from_weights(space, {"a": Fraction(3, 2), "b": Fraction(-1, 2)})
 
+    def test_a_shared_negative_weight_is_named_at_its_first_state(self):
+        # One weight object at two states is converted and checked once; the
+        # message still names the first state, in state order, that holds it.
+        space = StateSpace(("a", "b", "c", "d"))
+        negative, positive = Fraction(-1, 4), Fraction(3, 4)
+        for weights, state in [((positive, negative, positive, negative), "b"),
+                               ((negative, positive, negative, Fraction(1)), "a"),
+                               (("1/2", "-1/4", "3/4", "-1/4"), "b")]:
+            with pytest.raises(ModelError, match=f"^negative weight -1/4 for state '{state}'$"):
+                ProbabilityMeasure(space, weights)
+
     def test_missing_state_rejected(self):
         space = StateSpace(("a", "b"))
         with pytest.raises(ModelError, match="'b'"):

@@ -398,18 +398,41 @@ def pooled_model(rng, space):
                          for name in gens.ATOM_NAMES})
 
 
-def serialized(rng, model, measures):
+FAULTS = ("negative", "sum", "duplicate", "unknown", "missing")
+
+
+def serialized(rng, model, measures, fault=None):
     """A document for ``model`` and ``measures``, in a random key order, member
     order and layout; atoms before states included.  State names may hold a "]",
     a "," or characters that JSON escapes; member lists may be pooled, each set
-    written alike wherever it occurs; and keys may be written with escapes."""
+    written alike wherever it occurs, and may hold whitespace after "[", before
+    "]" and around ","; an atom's entries may come in state order, reversed or
+    shuffled; weight texts repeat with their values or are written apart; and
+    keys may be written with escapes.  ``fault``, one of ``FAULTS``, puts one
+    fault in the document where it has the parts for it."""
     affixes = ["", "]", "],", ",", '"', "\\", "\u00e9", "\u2603"] if rng.random() < 0.5 else [""]
     name = {state: rng.choice(affixes) + state + rng.choice(affixes) for state in model.space.states}
     pooled, orders = rng.random() < 0.5, {}  # when pooled, each set's mask -> its one member order
+    spaced, lists, rendered = rng.random() < 0.5, [], {}  # lists: member lists, written in after dumping
 
     def members(s):
         order = rng.sample([name[state] for state in s], len(s))
-        return orders.setdefault(s.mask, order) if pooled else order
+        lists.append(orders.setdefault(s.mask, order) if pooled else order)
+        return f"\x01{len(lists) - 1}"  # a placeholder, which json.dumps writes as "\u0001<index>"
+
+    def written(match):
+        listed = lists[int(match[1])]
+        if not spaced:
+            return json.dumps(listed, ensure_ascii=ensure_ascii, separators=separators)
+        if pooled and id(listed) in rendered:
+            return rendered[id(listed)]
+        names = [json.dumps(n, ensure_ascii=ensure_ascii) for n in listed]
+        rendered[id(listed)] = "[" + gap() + "".join(
+            f"{n}{gap()},{gap()}" for n in names[:-1]) + "".join(names[-1:]) + gap() + "]"
+        return rendered[id(listed)]
+
+    def gap():
+        return rng.choice(["", " ", "  ", "\n", "\t", "\r\n "])
 
     atoms = {}
     for atom, valuation in model.atoms.items():
@@ -418,16 +441,44 @@ def serialized(rng, model, measures):
             atoms[atom] = {"*": members(valuation.sets[0])}
         else:
             entries = [(name[state], members(s)) for state, s in valuation.items()]
-            atoms[atom] = dict(rng.sample(entries, len(entries)))
+            order = rng.choice([entries, entries[::-1], rng.sample(entries, len(entries))])
+            atoms[atom] = dict(order)
+
+    def weight(w):  # its own text, or an equal value written apart
+        k = rng.choice([1, 1, 2, 3])
+        return str(w) if k == 1 else f"{w.numerator * k}/{w.denominator * k}"
+
     data = {
         "states": [name[state] for state in model.space.states],
         "atoms": atoms,
-        "measures": {m: {name[state]: str(w) for state, w in measure.items()} for m, measure in measures.items()},
+        "measures": {m: {name[state]: weight(w) for state, w in measure.items()} for m, measure in measures.items()},
     }
+    tables = [t for t in [*atoms.values(), *data["measures"].values()] if "*" not in t]
+    weighted = [t for t in data["measures"].values() if len(t) > 1]
+    if fault == "negative" and weighted:  # one negative weight text at two states
+        table = rng.choice(weighted)
+        for state in rng.sample(list(table), 2):
+            table[state] = "-1/7"
+    elif fault == "sum" and weighted:
+        table = rng.choice(weighted)
+        table[rng.choice(list(table))] = "1/1000003"
+    elif fault == "unknown" and tables:
+        rng.choice(tables)["nowhere"] = "0" if rng.random() < 0.5 else []
+    elif fault == "missing" and tables:
+        table = rng.choice(tables)
+        del table[rng.choice(list(table))]
+    elif fault == "duplicate" and tables:  # written in as the key of an earlier entry after dumping
+        table = rng.choice(tables)
+        table["\x02"] = table[rng.choice(list(table))]
+        duplicated = json.dumps(rng.choice(list(table)[:-1]))
     keys = [key for key in rng.sample(list(data), 3) if rng.random() < 0.95]
-    text = json.dumps({key: data[key] for key in keys}, ensure_ascii=rng.random() < 0.5,
-                      indent=rng.choice([None, 0, 2, "\t"]),
-                      separators=rng.choice([None, (",", ":"), (" ,\r\n", " : ")]))
+    ensure_ascii = rng.random() < 0.5
+    separators = rng.choice([None, (",", ":"), (" ,\r\n", " : ")])
+    text = json.dumps({key: data[key] for key in keys}, ensure_ascii=ensure_ascii,
+                      indent=rng.choice([None, 0, 2, "\t"]), separators=separators)
+    text = re.sub(r'"\\u0001(\d+)"', written, text)
+    if fault == "duplicate" and tables:
+        text = text.replace('"\\u0002"', duplicated)
 
     def escaped(key):  # one character of the key as a \u escape, which json.dumps never writes
         at = rng.randrange(len(key[1]))
@@ -484,11 +535,11 @@ def test_load_document_matches_decoding_the_whole_text(tmp_path):
     rng = random.Random(20261020)
     path = tmp_path / "model.json"
     outcomes = {str: 0, tuple: 0}
-    for _ in range(300):
+    for _ in range(400):
         space = gens.random_space(rng, 1, 6)
         model = rng.choice([gens.random_model, gens.coherent_model, gens.constant_model, pooled_model])(rng, space)
         measures = {name: gens.random_measure(rng, space) for name in rng.sample(["u", "w"], rng.randint(0, 2))}
-        text = serialized(rng, model, measures)
+        text = serialized(rng, model, measures, rng.choice([None, None, *FAULTS]))
         for variant in range(5):
             if variant:
                 text = mutated(rng, text)
@@ -569,6 +620,15 @@ class TestAtomWalk:
         assert not whole
         assert lists.count('["x]", "a"]') == 2
         assert [s.names() for s in dict(atoms)["p"].sets] == [("x]", "a"), ("x]", "a"), ("x]", "b")]
+
+    def test_a_bracket_in_a_later_list_s_name_walks_the_atom_entry_by_entry(self, tmp_path, monkeypatch):
+        # Past the first list, a "]" in a name shows only once the atom's text is split.
+        text = ('{"states": ["a", "x]", "b"], "atoms": {'
+                '"p": {"a": ["a"], "x]": ["x]", "b"], "b": ["x]", "b"]}}}')
+        (space, atoms, _), lists, whole = self.load(tmp_path, monkeypatch, text)
+        assert not whole
+        assert lists.count('["x]", "b"]') == 2
+        assert [s.names() for s in dict(atoms)["p"].sets] == [("a",), ("x]", "b"), ("x]", "b")]
 
     def test_an_escaped_key_is_decoded(self, tmp_path, monkeypatch):
         text = r'{"st\u0061tes": ["s0", "s1"], "atoms": {"p": {"s\u0030": ["s1"], "s\u0031": ["s0", "s1"]}}}'
