@@ -8,43 +8,55 @@ conservative notion of belief supported by evidence that forms a
 Dempster-Shafer belief function.
 """
 
-from .errors import (
-    EntailmentModeError,
-    EvidentialError,
-    FormulaSyntaxError,
-    ModelError,
-    NestedEntailmentError,
-    TotalConflictError,
-    UndefinedConditioningError,
-    UnknownAtomError,
-)
-from .formula import (
-    EXTENDED,
-    STRICT,
-    And,
-    Atom,
-    Entails,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    format_formula,
-    parse,
-)
-from .model import Model, StateSet, StateSpace, VariableValuation, lift_event
-from .semantics import interpret, truth_set
-from .belief import (
-    MassFunction,
-    ProbabilityMeasure,
-    bel,
-    degree,
-    degree_given,
-    dempster_combine,
-    mass_from_evidence,
-    pointwise_combine,
-    pointwise_condition,
-)
-from .document import ModelDocument, load_document, parse_document
+import gc
+
+# The imports allocate thousands of objects that all stay alive, so a collection that
+# their allocations set off would free nothing: the collector is paused meanwhile and
+# left as it was found.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .errors import (
+        EntailmentModeError,
+        EvidentialError,
+        FormulaSyntaxError,
+        ModelError,
+        NestedEntailmentError,
+        TotalConflictError,
+        UndefinedConditioningError,
+        UnknownAtomError,
+    )
+    from .formula import (
+        EXTENDED,
+        STRICT,
+        And,
+        Atom,
+        Entails,
+        Formula,
+        Implies,
+        Not,
+        Or,
+        format_formula,
+        parse,
+    )
+    from .model import Model, StateSet, StateSpace, VariableValuation, lift_event
+    from .semantics import interpret, truth_set
+    from .belief import (
+        MassFunction,
+        ProbabilityMeasure,
+        bel,
+        degree,
+        degree_given,
+        dempster_combine,
+        mass_from_evidence,
+        pointwise_combine,
+        pointwise_condition,
+    )
+    from .document import ModelDocument, load_document, parse_document
+finally:
+    if _collecting:
+        gc.enable()
+del gc, _collecting
 
 __version__ = "0.1.0"
 

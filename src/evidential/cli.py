@@ -2,7 +2,9 @@
 
 A command is added by one entry of ``_COMMANDS``: its help text, its arguments and
 the function that writes its result.  Each argument's entry in ``_ARGUMENTS`` gives its
-kind (a measure name, a formula, an event, or plain text), which decides how ``run`` decodes it.
+kind (a measure name, a formula, an event, or plain text), which decides how ``run`` decodes it,
+and its argparse options.  ``run`` reads a well-formed command line from these two tables
+and leaves any other, such as ``--help`` or a usage error, to argparse.
 
 Exit codes: 0 success, 2 parse/validation error, 3 undefined operation
 (zero-probability conditioning or total conflict), 4 usage error.
@@ -10,7 +12,6 @@ Exit codes: 0 success, 2 parse/validation error, 3 undefined operation
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -32,17 +33,6 @@ EXPLORATORY_BANNER = (
     "interpretations; zero-probability interpretations are skipped and the "
     "surviving weights are not renormalized."
 )
-
-# Escapes for what str.splitlines() breaks at: a usage error, like every error, is one short line.
-_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        message = message.translate(_LINE_BREAKS)
-        print("usage error:", message if len(message) <= 200 else message[:197] + "...", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
 
 def _resolve_document(ref: str) -> ModelDocument:
     if os.path.exists(ref):  # False, not OSError, for a name past the file-name limit
@@ -190,9 +180,21 @@ _COMMANDS = {
 
 
 @cache  # once per process and command: parse_args does not change the parser
-def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+def build_parser(command: "str | None" = None):
     """The parser of ``command`` alone, which parses any arguments that start with it; with
     no command, of every command, for the program's help and for any other first argument."""
+    import argparse
+
+    # Escapes for what str.splitlines() breaks at: a usage error, like every error, is one short line.
+    line_breaks = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            message = message.translate(line_breaks)
+            print("usage error:", message if len(message) <= 200 else message[:197] + "...",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     common = _Parser(add_help=False)  # copying its arguments is quicker than adding them again
     for argument in ("--mode", "--format", "model"):
         common.add_argument(argument, **_ARGUMENTS[argument][1])
@@ -208,22 +210,60 @@ def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list) -> "dict | None":
+    """What ``vars(build_parser(argv[0]).parse_args(argv))`` gives for a well-formed line, read
+    from the tables: a command, then its own options by their full names, each once and with a
+    value that does not start with ``-``, and its positionals, all present and valid.  None for
+    any other line, which is left to argparse: help, a usage error, or a form argparse also
+    accepts, such as ``--option=value``, an abbreviated or repeated option, or a value ``-1``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    names = ("--mode", "--format", "model", *_COMMANDS[argv[0]][1])
+    positionals = [name for name in names if not name.startswith("-")]
+    values, options = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+        elif token in names and token not in options:
+            options[token] = next(tokens, "-")
+            if options[token].startswith("-"):
+                return None
+        else:
+            return None
+    if len(values) != len(positionals):
+        return None
+    args = {"command": argv[0], **dict(zip(positionals, values))}
+    for name in names:
+        if name.startswith("-"):
+            spec = _ARGUMENTS[name][1]
+            value = options.get(name, spec.get("default"))
+            if value is None and spec.get("required"):
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            args[name.lstrip("-")] = value
+    return args
+
+
 def run(argv) -> int:
     argv = list(argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = vars(build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv))
+        except SystemExit as exc:  # --help, or a usage error
+            return int(exc.code or 0)
+    _, arguments, write = _COMMANDS[args["command"]]
+    values = [args[argument.lstrip("-")] for argument in arguments]
     try:
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
-    except SystemExit as exc:  # --help, or a usage error
-        return int(exc.code or 0)
-    _, arguments, write = _COMMANDS[args.command]
-    values = [getattr(args, argument.lstrip("-")) for argument in arguments]
-    try:
-        document = _resolve_document(args.model)
+        document = _resolve_document(args["model"])
         for kind in ("measure", "formula", "event"):  # the order in which their errors take precedence
             for i, argument in enumerate(arguments):
                 if _ARGUMENTS[argument][0] == kind and values[i] is not None:
-                    values[i] = _decode(kind, document, values[i], args.mode)
-        out = _Output(machine=args.format == "machine")
-        write(out, document, *values, args.mode)
+                    values[i] = _decode(kind, document, values[i], args["mode"])
+        out = _Output(machine=args["format"] == "machine")
+        write(out, document, *values, args["mode"])
         sys.stdout.write(out.render())
         return EXIT_OK
     except (UndefinedConditioningError, TotalConflictError) as exc:
@@ -248,6 +288,10 @@ def main() -> None:
         # flushes stdout again at exit; aim it at devnull to keep that quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
+    # Interpreter shutdown runs one full collection even with the collector off; frozen
+    # objects are not scanned.  Shutdown is otherwise the usual one: atexit handlers run
+    # and stdio is flushed.
+    gc.freeze()
     sys.exit(code)
 
 

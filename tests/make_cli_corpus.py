@@ -202,25 +202,30 @@ def fixed_cases(documents: dict) -> list[list[str]]:
     return cases
 
 
+def command_lines(documents: dict) -> list[list[str]]:
+    """Every case's argv, in order, with the temporary documents at the paths in ``documents``."""
+    rng = random.Random(SEED)
+    cases = fixed_cases(documents)
+    small = DOCUMENTS["small"]
+    for _ in range(RANDOM_CASES):
+        if rng.random() < 0.7:
+            cases.append(random_case(rng, "coinflip", ("p", "pbar", "h", "a"), COINFLIP_STATES,
+                                     ("pi", "piPrime")))
+        else:
+            cases.append(random_case(rng, documents["small"], tuple(small["atoms"]),
+                                     tuple(small["states"]), tuple(small["measures"])))
+    return cases
+
+
 def generate() -> list[str]:
     """The corpus lines, in order."""
-    rng = random.Random(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         documents = {}
         for name, data in DOCUMENTS.items():
             path = Path(tmp, f"{name}.json")
             path.write_text(json.dumps(data), encoding="utf-8")
             documents[name] = str(path)
-        cases = fixed_cases(documents)
-        small = DOCUMENTS["small"]
-        for _ in range(RANDOM_CASES):
-            if rng.random() < 0.7:
-                cases.append(random_case(rng, "coinflip", ("p", "pbar", "h", "a"), COINFLIP_STATES,
-                                         ("pi", "piPrime")))
-            else:
-                cases.append(random_case(rng, documents["small"], tuple(small["atoms"]),
-                                         tuple(small["states"]), tuple(small["measures"])))
-        return [record(argv, tmp) for argv in cases]
+        return [record(argv, tmp) for argv in command_lines(documents)]
 
 
 def main() -> None:

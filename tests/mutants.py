@@ -4,8 +4,9 @@ Each mutant changes one line of ``src/evidential``.  The script copies
 ``src/`` and ``tests/`` to a temporary directory, applies one mutant at a
 time there, and runs the library corpus test, the test modules that check
 the library against ``tests/oracles.py``, the document tests, the
-value-contract tests and the CLI corpus test.  A mutant is killed when a test
-fails.  The unmutated copy must pass first, and each mutant's original
+value-contract tests, the CLI corpus test and the tests that compare the
+CLI's table read of a command line with argparse.  A mutant is killed when a
+test fails.  The unmutated copy must pass first, and each mutant's original
 text must occur exactly once in its file, so that a stale mutant is an
 error rather than a quiet survivor.  The script prints each mutant's fate
 and exits with status 1 if any survives, 2 if the unmutated copy fails or
@@ -26,7 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_corpus.py", "tests/test_semantics.py", "tests/test_belief.py",
          "tests/test_model.py", "tests/test_acceptance.py", "tests/test_document.py",
-         "tests/test_values.py", "tests/test_cli.py::test_cli_corpus_is_reproduced"]
+         "tests/test_values.py", "tests/test_cli.py::test_cli_corpus_is_reproduced",
+         "tests/test_cli.py::test_the_table_reads_the_corpus_lines_as_argparse_does",
+         "tests/test_cli.py::test_the_table_reads_a_line_as_argparse_does_or_not_at_all"]
 
 # (name, file under src/evidential, original text, mutated text)
 MUTANTS = [
@@ -98,6 +101,8 @@ MUTANTS = [
      "for name in _COMMANDS if command is None else tuple(_COMMANDS)[:1]:"),
     ("a backslashed key taken verbatim", "document.py",
      """key = match[1] if "\\\\" not in match[1] else _decode(f'"{match[1]}"', 0)[0]""", "key = match[1]"),
+    ("choices left unchecked by the table read", "cli.py",
+     'if "choices" in spec and value not in spec["choices"]:', "if False:"),
     ("no + 1 in a negation's depth", "formula.py", "operand._depth + 1", "operand._depth"),
     ("no + 1 in a binary node's depth", "formula.py",
      "max(left._depth, right._depth) + 1", "max(left._depth, right._depth)"),

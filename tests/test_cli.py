@@ -1,6 +1,8 @@
 """CLI behavior: outputs, formats, exit codes."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidential import EXTENDED, parse, truth_set
-from evidential.cli import _ARGUMENTS, _COMMANDS, _Output, run
+from evidential.cli import _ARGUMENTS, _COMMANDS, _Output, _read, build_parser, run
 from evidential.formula import MAX_NESTING
-from make_cli_corpus import CORPUS, generate, invoke as invoke_in_process
+from make_cli_corpus import CORPUS, DOCUMENTS, PLACEHOLDER, command_lines, generate
+from make_cli_corpus import invoke as invoke_in_process
 from test_document import digit_limit, long_numeral
 from test_formula import SHAPES
 
@@ -178,6 +181,80 @@ def test_cli_corpus_is_reproduced():
     assert CORPUS.stat().st_size < 500_000
 
 
+# --- the table read of a well-formed line is argparse's ----------------------
+
+CORPUS_LINES = command_lines({name: f"{PLACEHOLDER}/{name}.json" for name in DOCUMENTS})
+
+
+def argparse_reading(argv):
+    """``vars`` of the namespace from the parser that run builds, or None for help or a usage error."""
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_table_reads_the_corpus_lines_as_argparse_does():
+    read = 0
+    for argv in CORPUS_LINES:
+        table, expected = _read(argv), argparse_reading(argv)
+        assert table is None or table == expected, argv
+        # Only a value that starts with - leaves a line argparse accepts to argparse here.
+        if expected is not None and all(a in _ARGUMENTS or not a.startswith("-") for a in argv):
+            assert table == expected, argv
+        read += table is not None
+    assert read > len(CORPUS_LINES) // 2
+
+
+OPTIONS_WITH_CHOICES = [name for name, (_, spec) in _ARGUMENTS.items() if "choices" in spec]
+
+
+@st.composite
+def command_line_variants(draw):
+    """A corpus line changed one to three times: options reordered, joined to their values by
+    =, abbreviated or repeated; help or -- put in; a value replaced by one starting with - or by
+    an empty string; a positional dropped or added; a choice replaced by another word."""
+    argv = list(draw(st.sampled_from(CORPUS_LINES)))
+    for change in draw(st.lists(st.integers(0, 7), min_size=1, max_size=3)):
+        options = [i for i in range(1, len(argv) - 1) if argv[i] in _ARGUMENTS and argv[i].startswith("-")]
+        at = draw(st.sampled_from(options)) if options else None
+        if change == 0:  # each option with its value is one unit
+            units, i = [], 1
+            while i < len(argv):
+                units.append(argv[i:i + 1 + (i in options)])
+                i += len(units[-1])
+            argv[1:] = [token for unit in draw(st.permutations(units)) for token in unit]
+        elif change == 1 and at is not None:
+            argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+        elif change == 2 and at is not None:
+            argv[at] = argv[at][:draw(st.integers(3, len(argv[at]) - 1))]
+        elif change == 3 and at is not None:
+            argv += [argv[at], draw(st.sampled_from([argv[at + 1], "h", "strict", "machine"]))]
+        elif change == 4:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help", "--"])))
+        elif change == 5 and len(argv) > 1:
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(st.sampled_from(
+                ["", "-", "-1", "-x", "-h", "--", "- h", "-> h", "--mode", "--zz"]))
+        elif change == 6 and len(argv) > 1:
+            if draw(st.booleans()):
+                del argv[draw(st.integers(1, len(argv) - 1))]
+            else:
+                argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["extra", "h", ""])))
+        elif change == 7:
+            option = draw(st.sampled_from(OPTIONS_WITH_CHOICES))
+            argv += [option, draw(st.sampled_from(["", "Strict", "json", "sideways", "text", "dempster"]))]
+    return argv
+
+
+@settings(max_examples=500)
+@given(argv=command_line_variants())
+def test_the_table_reads_a_line_as_argparse_does_or_not_at_all(argv):
+    table = _read(argv)
+    assert table is None or table == argparse_reading(argv)
+
+
 class TestModelResolution:
     def test_file_path(self, capsys, tmp_path):
         path = write_model(tmp_path, json.loads(open_fixture()))
@@ -313,6 +390,44 @@ class TestExitCodes:
         result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                                 env=subprocess_env(), check=True)
         assert result.stdout == "[]\n"
+
+    def test_a_well_formed_line_imports_no_argparse(self):
+        code = ("import sys; from evidential.cli import run; "
+                "code = run(['bel', 'coinflip', '--measure', 'pi', '--evidence', 'pbar', '--event', 'h']); "
+                "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                                env=subprocess_env(), check=True)
+        assert (result.stdout, result.stderr) == ("3/5\n0 []\n", "")
+        usage = subprocess.run([sys.executable, "-S", "-m", "evidential", "bel", "coinflip",
+                                "--evidence", "pbar"], capture_output=True, text=True, env=subprocess_env())
+        assert (usage.returncode, usage.stdout) == (4, "")
+        assert usage.stderr.startswith("usage error: ") and usage.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bel", "coinflip", "--measure", "pi", "--evidence", "pbar", "--event", "h"],
+        ["cohere", "coinflip", "p", "--format", "machine"],
+        ["truth-set", "coinflip", "&"],
+        ["combine", "conflict", "--measure", "u", "--rule", "dempster", "--e1", "c1", "--e2", "c2"],
+        ["bel", "coinflip", "--evidence", "pbar"],
+    ], ids=["success", "entries", "error", "undefined", "usage error"])
+    def test_main_exits_through_the_usual_shutdown(self, tmp_path, argv):
+        # An atexit handler registered before the program runs still runs, after its output.
+        argv = [write_model(tmp_path, DOCUMENTS["conflict"]) if a == "conflict" else a for a in argv]
+        code = ("import atexit, runpy; atexit.register(print, 'atexit handler ran'); "
+                "runpy.run_module('evidential', run_name='__main__')")
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                                env=subprocess_env(), timeout=60)
+        exit_code, out, err = invoke_in_process(argv)
+        assert (result.returncode, result.stderr) == (exit_code, err)
+        assert result.stdout == out + "atexit handler ran\n"
+
+    def test_import_leaves_the_cyclic_collector_as_it_found_it(self):
+        for enabled in (True, False):
+            code = (f"import gc; gc.{'enable' if enabled else 'disable'}(); "
+                    "import evidential; print(gc.isenabled())")
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=subprocess_env(), check=True)
+            assert result.stdout == f"{enabled}\n"
 
     def test_closed_stdout_is_quiet_success(self, tmp_path):
         # Output far beyond a pipe buffer, so the reader closes mid-write.
