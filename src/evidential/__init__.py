@@ -16,43 +16,13 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
-    from .errors import (
-        EntailmentModeError,
-        EvidentialError,
-        FormulaSyntaxError,
-        ModelError,
-        NestedEntailmentError,
-        TotalConflictError,
-        UndefinedConditioningError,
-        UnknownAtomError,
-    )
-    from .formula import (
-        EXTENDED,
-        STRICT,
-        And,
-        Atom,
-        Entails,
-        Formula,
-        Implies,
-        Not,
-        Or,
-        format_formula,
-        parse,
-    )
-    from .model import Model, StateSet, StateSpace, VariableValuation, lift_event
-    from .semantics import interpret, truth_set
-    from .belief import (
-        MassFunction,
-        ProbabilityMeasure,
-        bel,
-        degree,
-        degree_given,
-        dempster_combine,
-        mass_from_evidence,
-        pointwise_combine,
-        pointwise_condition,
-    )
-    from .document import ModelDocument, load_document, parse_document
+    # The package publishes exactly the names in its modules' __all__ lists.
+    from .errors import *
+    from .formula import *
+    from .model import *
+    from .semantics import *
+    from .belief import *
+    from .document import *
 finally:
     if _collecting:
         gc.enable()
@@ -60,43 +30,5 @@ del gc, _collecting
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And",
-    "Atom",
-    "Entails",
-    "EntailmentModeError",
-    "EvidentialError",
-    "EXTENDED",
-    "Formula",
-    "FormulaSyntaxError",
-    "Implies",
-    "MassFunction",
-    "Model",
-    "ModelDocument",
-    "ModelError",
-    "NestedEntailmentError",
-    "Not",
-    "Or",
-    "ProbabilityMeasure",
-    "STRICT",
-    "StateSet",
-    "StateSpace",
-    "TotalConflictError",
-    "UndefinedConditioningError",
-    "UnknownAtomError",
-    "VariableValuation",
-    "bel",
-    "degree",
-    "degree_given",
-    "dempster_combine",
-    "format_formula",
-    "interpret",
-    "lift_event",
-    "load_document",
-    "mass_from_evidence",
-    "parse",
-    "parse_document",
-    "pointwise_combine",
-    "pointwise_condition",
-    "truth_set",
-]
+__all__ = (errors.__all__ + formula.__all__ + model.__all__ + semantics.__all__
+           + belief.__all__ + document.__all__)

@@ -195,7 +195,8 @@ class MassFunction(_Value):
     def of(self, event: StateSet) -> Fraction:
         if event.__class__ is StateSet and event.space == self.space:
             return Fraction(self.numerators.get(event.mask, 0), self.denominator)
-        return self.masses.get(event, Fraction(0))  # not a key; raises as a dict does if unhashable
+        hash(event)  # no other value is a key, but an unhashable one raises TypeError as a dict does
+        return Fraction(0)
 
     def items(self) -> list[tuple[StateSet, Fraction]]:
         """Entries sorted by bit-vector encoding, for deterministic output."""

@@ -179,10 +179,9 @@ _COMMANDS = {
 }
 
 
-@cache  # once per process and command: parse_args does not change the parser
-def build_parser(command: "str | None" = None):
-    """The parser of ``command`` alone, which parses any arguments that start with it; with
-    no command, of every command, for the program's help and for any other first argument."""
+@cache  # once per process: parse_args does not change the parser
+def build_parser():
+    """The parser of the program and of every command, for a line that ``_read`` declines."""
     import argparse
 
     # Escapes for what str.splitlines() breaks at: a usage error, like every error, is one short line.
@@ -202,8 +201,7 @@ def build_parser(command: "str | None" = None):
                      description="Variable-meaning semantics and evidentially supported belief.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name in _COMMANDS if command is None else (command,):
-        help_text, arguments, _ = _COMMANDS[name]
+    for name, (help_text, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS[argument][1])
@@ -211,7 +209,7 @@ def build_parser(command: "str | None" = None):
 
 
 def _read(argv: list) -> "dict | None":
-    """What ``vars(build_parser(argv[0]).parse_args(argv))`` gives for a well-formed line, read
+    """What ``vars(build_parser().parse_args(argv))`` gives for a well-formed line, read
     from the tables: a command, then its own options by their full names, each once and with a
     value that does not start with ``-``, and its positionals, all present and valid.  None for
     any other line, which is left to argparse: help, a usage error, or a form argparse also
@@ -251,7 +249,7 @@ def run(argv) -> int:
     args = _read(argv)
     if args is None:
         try:
-            args = vars(build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv))
+            args = vars(build_parser().parse_args(argv))
         except SystemExit as exc:  # --help, or a usage error
             return int(exc.code or 0)
     _, arguments, write = _COMMANDS[args["command"]]

@@ -3,6 +3,17 @@
 from math import log10
 from types import MappingProxyType
 
+__all__ = [
+    "EvidentialError",
+    "ModelError",
+    "UnknownAtomError",
+    "FormulaSyntaxError",
+    "NestedEntailmentError",
+    "EntailmentModeError",
+    "UndefinedConditioningError",
+    "TotalConflictError",
+]
+
 
 def _shown(value: object) -> str:
     """``repr(value)`` cut to 60 characters, so that a message stays one short line.

@@ -154,7 +154,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting accepted from text, as formula depth and as open parentheses.
-# It keeps the recursive evaluator in :mod:`.semantics` inside Python's limit.
+# It keeps the recursive evaluator in :mod:`.semantics`, and the recursive ``repr``,
+# ``==``, ``hash`` and pickling of a parsed formula, inside Python's recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 

@@ -40,7 +40,7 @@ from .formula import (
 )
 from .model import Model, StateSet
 
-__all__ = ["interpret", "interpretation_masks", "truth_set"]
+__all__ = ["interpret", "truth_set"]
 
 _NO_POINTWISE = "entailment (=>) has no pointwise interpretation in strict mode"
 

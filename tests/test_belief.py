@@ -382,6 +382,12 @@ class TestMassFunctionValidation:
         assert m1 == m2
 
 
+class Marked(StateSet):
+    """A subclass, whose values equal no plain StateSet."""
+
+    __slots__ = ()
+
+
 class TestIntMasses:
     """A mass function keeps int numerators by focal-set mask over one
     denominator; the StateSet-to-Fraction view is derived on each read."""
@@ -427,6 +433,8 @@ class TestIntMasses:
             assert mass.of(StateSet(other, focal.mask)) == mass.of(focal) != 0
             assert mass.of(stranger.full()) == 0
             assert isinstance(mass.of(stranger.full()), Fraction)
+            assert mass.of(Marked(focal.space, focal.mask)) == 0
+            assert isinstance(mass.of(Marked(focal.space, focal.mask)), Fraction)
             assert mass.of("H-acc") == 0
             with pytest.raises(TypeError):
                 mass.of(["H-acc"])
@@ -435,9 +443,6 @@ class TestIntMasses:
             assert mass.belief(other.full()) == 1
 
     def test_views_are_derived_on_each_read(self, coinflip):
-        class Marked(StateSet):
-            __slots__ = ()
-
         space = coinflip.model.space
         plain = {space.subset(["H-acc"]): Fraction(1, 3), space.full(): Fraction(2, 3)}
         mass = MassFunction(space, {Marked(space, space.subset(["H-acc"]).mask): Fraction(1, 3),

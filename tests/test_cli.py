@@ -188,7 +188,7 @@ CORPUS_LINES = command_lines({name: f"{PLACEHOLDER}/{name}.json" for name in DOC
 
 def argparse_reading(argv):
     """``vars`` of the namespace from the parser that run builds, or None for help or a usage error."""
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
@@ -272,6 +272,11 @@ class TestModelResolution:
         assert (code, out) == (2, "")
         assert err == f"error: model '{ref[:56]}... is neither a file nor a bundled fixture\n"
         assert len(err.encode()) < 120
+
+
+# A valid value on coinflip of each argument that some command requires.
+REQUIRED_VALUES = {"formula": "h", "state": "H-sh", "atom": "p", "--measure": "pi", "--evidence": "pbar",
+                   "--event": "h", "--of": "h", "--rule": "dempster", "--e1": "h", "--e2": "pbar"}
 
 
 class TestExitCodes:
@@ -555,6 +560,27 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "command" in out
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_help_of_every_command(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: evidential {command} ")
+        for argument in ("--mode", "--format", "model", *_COMMANDS[command][1]):
+            assert argument in out, argument
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_usage_error_of_every_command(self, capsys, command):
+        required = [argument for argument in _COMMANDS[command][1]
+                    if not argument.startswith("-") or _ARGUMENTS[argument][1].get("required")]
+        complete = [command, "coinflip"]
+        for argument in required:
+            value = REQUIRED_VALUES[argument]
+            complete += [argument, value] if argument.startswith("-") else [value]
+        assert invoke(capsys, *complete, "--zz") == (4, "", "usage error: unrecognized arguments: --zz\n")
+        if required:  # argparse names what is missing before what it does not know
+            assert invoke(capsys, command, "coinflip", "--zz") == (
+                4, "", f"usage error: the following arguments are required: {', '.join(required)}\n")
 
 
 class TestMachineDeterminism:
